@@ -20,11 +20,11 @@
 //!   length + FNV-64 checksum header: a corrupt, truncated, or
 //!   wrong-schema record degrades to a miss, never a panic.
 //!
-//! The sweep runner (`crate::runner`) consults the cache in its
-//! `*_cached` entry points: a warm cell returns instantly with its
-//! stored result *and* its stored kernel telemetry (so aggregate
-//! reports stay byte-identical to a cold run), a cold cell executes
-//! and is stored on success. Failed or panicked cells are never
+//! The sweep runner consults the cache in
+//! [`crate::runner::Sweep::try_run_cached`]: a warm cell returns
+//! instantly with its stored result *and* its stored kernel telemetry
+//! (so aggregate reports stay byte-identical to a cold run), a cold cell
+//! executes and is stored on success. Failed or panicked cells are never
 //! stored, so they re-run on resume.
 
 use std::path::{Path, PathBuf};

@@ -2,7 +2,7 @@
 //!
 //! A [`Sweep`] fans a list of independent simulation *cells* (one cell =
 //! one self-contained set of runs, e.g. a heatmap pixel) across worker
-//! threads. Four properties make it safe to use for paper results:
+//! threads. Three properties make it safe to use for paper results:
 //!
 //! 1. **Deterministic seeding.** Every cell's RNG seed is derived from
 //!    the sweep's base seed and the cell's *index* — never from the
@@ -14,29 +14,23 @@
 //! 3. **Observational telemetry.** Per-cell kernels count their own
 //!    events (see `fancy_sim::telemetry`); each attempt buffers its
 //!    counters privately and only the attempt that *completes the cell*
-//!    commits them to the shared aggregate the final [`SweepReport`]
-//!    reads — a panicked, superseded, or watchdog-abandoned attempt
-//!    contributes nothing (no double counting).
-//! 4. **Crash isolation.** A panicking cell is caught, retried once,
-//!    and — under [`Sweep::run_partial`] — reported in
-//!    [`SweepReport::failed_cells`] without taking down the rest of the
-//!    grid. A wall-clock watchdog ([`Sweep::watchdog`] or
-//!    `FANCY_CELL_TIMEOUT`) applies the same policy to hung cells.
-//! 5. **Resumable runs.** The `*_cached` entry points consult the
-//!    content-addressed result store ([`crate::cache`], usually rooted
-//!    at `FANCY_CACHE_DIR`): warm cells return instantly with their
-//!    stored result *and* stored telemetry, cold cells execute and are
-//!    stored on success, so an interrupted or edited sweep re-runs only
-//!    what changed.
+//!    commits them, once, to the aggregate the final [`SweepReport`]
+//!    reads — a panicked attempt contributes nothing (no double
+//!    counting).
 //!
-//! Workers pull the next cell from a shared queue, so slow cells do
+//! A panicking cell is caught and retried once; a cell that fails twice
+//! fails the sweep only after every other cell has run (see
+//! [`Sweep::run`]). [`Sweep::try_run_cached`] additionally consults the
+//! content-addressed result store ([`crate::cache`]), so an interrupted
+//! or edited sweep re-runs only what changed.
+//!
+//! Workers pull the next cell from a shared counter, so slow cells do
 //! not stall the rest of the grid (dynamic load balancing).
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -93,39 +87,13 @@ impl std::error::Error for SweepError {
     }
 }
 
-/// Why a cell failed to produce a result (after the one-retry policy).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellFailure {
-    /// The cell panicked on every attempt; the payload's message.
-    Panicked(String),
-    /// The cell exceeded the per-cell watchdog on every attempt.
-    TimedOut(Duration),
-}
-
-impl fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CellFailure::Panicked(msg) => write!(f, "panicked: {msg}"),
-            CellFailure::TimedOut(limit) => {
-                write!(f, "timed out after {:.2}s", limit.as_secs_f64())
-            }
-        }
-    }
-}
-
-/// One cell the sweep could not complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailedCell {
-    /// Index of the cell in the sweep's input order.
-    pub index: usize,
-    /// The deterministic seed the cell ran with — rerun
-    /// `f(&cells[index], &CellCtx::detached(seed))` to reproduce.
-    pub seed: u64,
-    /// What went wrong on the final attempt.
-    pub cause: CellFailure,
-    /// Attempts made (2 with the one-retry policy, unless the failure
-    /// raced a concurrent retry).
-    pub attempts: u32,
+/// One cell that panicked on both attempts of the one-retry policy.
+struct FailedCell {
+    index: usize,
+    seed: u64,
+    attempts: u32,
+    /// The final attempt's panic message.
+    message: String,
 }
 
 /// Per-cell context handed to the sweep's work function.
@@ -155,9 +123,8 @@ impl CellCtx {
     /// Fold a finished network's kernel telemetry into this attempt's
     /// private buffer. Call once per simulated network, after its last
     /// `run_until`. The buffer reaches the sweep's aggregate report
-    /// only if this attempt completes its cell — a panicked or
-    /// watchdog-abandoned attempt's absorbs are dropped with it.
-    /// No-op on a detached context.
+    /// only if this attempt completes its cell — a panicked attempt's
+    /// absorbs are dropped with it. No-op on a detached context.
     pub fn absorb(&self, net: &Network) {
         let Some(pending) = &self.pending else { return };
         let snap = net.kernel.telemetry_snapshot();
@@ -190,7 +157,7 @@ impl CellCtx {
             .lock()
             .expect("pending stats poisoned")
             .phases
-            .push((label.to_string(), start.elapsed()));
+            .add(label, start.elapsed());
         r
     }
 
@@ -250,11 +217,11 @@ impl CellCtx {
     }
 }
 
-/// One attempt's privately buffered accounting: kernel telemetry,
-/// cache lookup outcomes, and timed spans. Committed to
-/// [`SharedStats`] only by the attempt that completes its cell;
-/// dropped (never committed) for panicked, superseded, or
-/// watchdog-abandoned attempts.
+/// Sweep accounting: kernel telemetry, cache lookup outcomes, timed
+/// spans and merged metrics. Each attempt buffers its own privately;
+/// only the attempt that completes its cell folds it, once, into the
+/// sweep's aggregate (another `PendingStats`), so a panicked attempt
+/// contributes nothing.
 #[derive(Debug, Default)]
 struct PendingStats {
     telemetry: TelemetryCounters,
@@ -263,147 +230,26 @@ struct PendingStats {
     networks: u64,
     cache_hits: u64,
     cache_misses: u64,
-    phases: Vec<(String, Duration)>,
+    phases: Profiler,
     metrics: Snapshot,
 }
 
-/// Lock-free aggregate the workers commit completed attempts into (the
-/// span profiler is the one mutex, touched once per committed attempt
-/// with timed spans).
-#[derive(Default)]
-struct SharedStats {
-    events: AtomicU64,
-    arrivals: AtomicU64,
-    timers: AtomicU64,
-    queue_high_water: AtomicU64,
-    timer_high_water: AtomicU64,
-    forwarded: AtomicU64,
-    gray: AtomicU64,
-    control: AtomicU64,
-    congestion: AtomicU64,
-    pool_high_water: AtomicU64,
-    pool_recycled: AtomicU64,
-    chaos_drops: AtomicU64,
-    chaos_dups: AtomicU64,
-    chaos_reorders: AtomicU64,
-    chaos_control_faults: AtomicU64,
-    degraded_entries: AtomicU64,
-    sim_nanos: AtomicU64,
-    wall_nanos: AtomicU64,
-    networks: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    phases: Mutex<Profiler>,
-    // Snapshot::merge is associative and commutative, so commit order
-    // (i.e. thread scheduling) cannot affect the merged result.
-    metrics: Mutex<Snapshot>,
-}
-
-impl SharedStats {
-    /// Fold one attempt's buffered accounting into the aggregate.
-    /// Callers gate this on the attempt actually completing its cell
-    /// (winning the state CAS under `run_partial`), which is what keeps
-    /// a watchdog-abandoned run that finishes late from double-counting
-    /// alongside its replacement.
-    fn commit(&self, p: &PendingStats) {
-        let t = &p.telemetry;
-        // Relaxed is enough: values are only read after every cell is
-        // terminal, and every counter is an independent monotone sum
-        // (or max).
-        self.events
-            .fetch_add(t.events_dispatched, Ordering::Relaxed);
-        self.arrivals
-            .fetch_add(t.packet_arrivals, Ordering::Relaxed);
-        self.timers.fetch_add(t.timers_fired, Ordering::Relaxed);
-        self.queue_high_water
-            .fetch_max(t.queue_high_water, Ordering::Relaxed);
-        self.timer_high_water
-            .fetch_max(t.timer_high_water, Ordering::Relaxed);
-        self.forwarded
-            .fetch_add(t.packets_forwarded, Ordering::Relaxed);
-        self.gray
-            .fetch_add(t.packets_gray_dropped, Ordering::Relaxed);
-        self.control.fetch_add(t.control_drops, Ordering::Relaxed);
-        self.congestion
-            .fetch_add(t.congestion_drops, Ordering::Relaxed);
-        self.pool_high_water
-            .fetch_max(t.pool_high_water, Ordering::Relaxed);
-        self.pool_recycled
-            .fetch_add(t.pool_recycled, Ordering::Relaxed);
-        self.chaos_drops.fetch_add(t.chaos_drops, Ordering::Relaxed);
-        self.chaos_dups.fetch_add(t.chaos_dups, Ordering::Relaxed);
-        self.chaos_reorders
-            .fetch_add(t.chaos_reorders, Ordering::Relaxed);
-        self.chaos_control_faults
-            .fetch_add(t.chaos_control_faults, Ordering::Relaxed);
-        self.degraded_entries
-            .fetch_add(t.degraded_entries, Ordering::Relaxed);
-        self.sim_nanos.fetch_add(p.sim_nanos, Ordering::Relaxed);
-        self.wall_nanos.fetch_add(p.wall_nanos, Ordering::Relaxed);
-        self.networks.fetch_add(p.networks, Ordering::Relaxed);
-        self.cache_hits.fetch_add(p.cache_hits, Ordering::Relaxed);
-        self.cache_misses
-            .fetch_add(p.cache_misses, Ordering::Relaxed);
-        if !p.phases.is_empty() {
-            let mut prof = self.phases.lock().expect("profiler poisoned");
-            for (label, d) in &p.phases {
-                prof.add(label, *d);
-            }
+impl PendingStats {
+    /// Fold a completed attempt's buffer into this aggregate. Every
+    /// part is a sum, a max or an associative, commutative merge, so
+    /// commit order (i.e. thread scheduling) cannot affect the result.
+    fn commit(&mut self, p: &PendingStats) {
+        self.telemetry.absorb(&p.telemetry);
+        self.sim_nanos += p.sim_nanos;
+        self.wall_nanos += p.wall_nanos;
+        self.networks += p.networks;
+        self.cache_hits += p.cache_hits;
+        self.cache_misses += p.cache_misses;
+        for (label, d) in p.phases.spans() {
+            self.phases.add(label, *d);
         }
-        if !p.metrics.is_empty() {
-            self.metrics
-                .lock()
-                .expect("metrics snapshot poisoned")
-                .merge(&p.metrics);
-        }
+        self.metrics.merge(&p.metrics);
     }
-
-    fn counters(&self) -> TelemetryCounters {
-        TelemetryCounters {
-            events_dispatched: self.events.load(Ordering::Relaxed),
-            packet_arrivals: self.arrivals.load(Ordering::Relaxed),
-            timers_fired: self.timers.load(Ordering::Relaxed),
-            queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
-            timer_high_water: self.timer_high_water.load(Ordering::Relaxed),
-            packets_forwarded: self.forwarded.load(Ordering::Relaxed),
-            packets_gray_dropped: self.gray.load(Ordering::Relaxed),
-            control_drops: self.control.load(Ordering::Relaxed),
-            congestion_drops: self.congestion.load(Ordering::Relaxed),
-            pool_high_water: self.pool_high_water.load(Ordering::Relaxed),
-            pool_recycled: self.pool_recycled.load(Ordering::Relaxed),
-            chaos_drops: self.chaos_drops.load(Ordering::Relaxed),
-            chaos_dups: self.chaos_dups.load(Ordering::Relaxed),
-            chaos_reorders: self.chaos_reorders.load(Ordering::Relaxed),
-            chaos_control_faults: self.chaos_control_faults.load(Ordering::Relaxed),
-            degraded_entries: self.degraded_entries.load(Ordering::Relaxed),
-        }
-    }
-
-    fn aggregated(&self) -> Aggregated {
-        Aggregated {
-            telemetry: self.counters(),
-            sim_seconds: self.sim_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            kernel_wall: Duration::from_nanos(self.wall_nanos.load(Ordering::Relaxed)),
-            networks: self.networks.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            phases: std::mem::take(&mut *self.phases.lock().expect("profiler poisoned"))
-                .into_spans(),
-            metrics: std::mem::take(&mut *self.metrics.lock().expect("metrics snapshot poisoned")),
-        }
-    }
-}
-
-/// Snapshot of [`SharedStats`] in report units.
-struct Aggregated {
-    telemetry: TelemetryCounters,
-    sim_seconds: f64,
-    kernel_wall: Duration,
-    networks: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    phases: Vec<(String, Duration)>,
-    metrics: Snapshot,
 }
 
 /// Aggregate progress/throughput report of one sweep.
@@ -431,10 +277,10 @@ pub struct SweepReport {
     /// this matches the cold run.
     pub networks: u64,
     /// Cells served warm from the content-addressed result cache.
-    /// Always 0 for the plain `run`/`try_run`/`run_partial` entry
-    /// points and for `*_cached` sweeps with no cache attached.
+    /// Always 0 for the plain `run`/`try_run` entry points and for
+    /// [`Sweep::try_run_cached`] sweeps with no cache attached.
     pub cache_hits: u64,
-    /// Cells that executed under a `*_cached` entry point because the
+    /// Cells that executed under [`Sweep::try_run_cached`] because the
     /// cache held no usable record for them.
     pub cache_misses: u64,
     /// Wall-clock spans recorded via [`CellCtx::time`], merged by label
@@ -446,11 +292,6 @@ pub struct SweepReport {
     /// count and on warm cache replays. Empty when cells attach no
     /// [`fancy_sim::metrics::MetricsHub`].
     pub metrics: Snapshot,
-    /// Cells that produced no result despite the one-retry policy,
-    /// sorted by index. Always empty for a report returned by
-    /// [`Sweep::run`] (which panics instead); [`Sweep::run_partial`]
-    /// reports them here alongside the surviving results.
-    pub failed_cells: Vec<FailedCell>,
 }
 
 impl SweepReport {
@@ -560,12 +401,6 @@ impl SweepReport {
                 ));
             }
         }
-        for c in &self.failed_cells {
-            s.push_str(&format!(
-                "\n  FAILED cell {:04} (seed {:#018x}) after {} attempt(s): {}",
-                c.index, c.seed, c.attempts, c.cause,
-            ));
-        }
         s
     }
 }
@@ -584,166 +419,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn failure_diagnosis(label: &str, failed: &[FailedCell], total: usize) -> String {
     let mut s = format!(
         "sweep '{label}': {} of {total} cell(s) failed after retry \
-         (use Sweep::run_partial to keep the surviving results):",
+         (rerun one with `f(&cells[index], &CellCtx::detached(seed))` to reproduce it):",
         failed.len(),
     );
     for c in failed {
         s.push_str(&format!(
-            "\n  cell {:04} (seed {:#018x}) after {} attempt(s): {}",
-            c.index, c.seed, c.attempts, c.cause,
+            "\n  cell {:04} (seed {:#018x}) after {} attempt(s): panicked: {}",
+            c.index, c.seed, c.attempts, c.message,
         ));
     }
     s
-}
-
-// Per-cell lifecycle word for `run_partial`: the low 2 bits are the
-// state, the rest a run token bumped on every claim so a superseded
-// (timed-out, later-requeued) run can never complete or fail the cell
-// out from under its replacement — every transition is a CAS on the
-// full (state, token) word.
-const ST_PENDING: u64 = 0;
-const ST_RUNNING: u64 = 1;
-const ST_DONE: u64 = 2;
-const ST_FAILED: u64 = 3;
-
-fn pack(state: u64, token: u64) -> u64 {
-    (token << 2) | state
-}
-
-fn state_of(word: u64) -> u64 {
-    word & 3
-}
-
-fn token_of(word: u64) -> u64 {
-    word >> 2
-}
-
-/// Shared state of a `run_partial` sweep. Lives behind an `Arc` because
-/// a hung worker thread may outlive the sweep (it is leaked, on
-/// purpose: there is no safe way to kill a thread).
-struct PartialInner<C, R, F> {
-    cells: Vec<C>,
-    f: F,
-    base_seed: u64,
-    stats: Arc<SharedStats>,
-    trace_dir: Option<Arc<PathBuf>>,
-    states: Vec<AtomicU64>,
-    attempts: Vec<AtomicU32>,
-    started: Vec<Mutex<Option<Instant>>>,
-    // Each slot carries the result *and* the producing attempt's
-    // buffered telemetry; the sweep commits exactly one buffer per
-    // DONE cell after every cell is terminal, so an abandoned run that
-    // finishes late can never double-count alongside its replacement.
-    slots: Vec<Mutex<Option<(R, PendingStats)>>>,
-    failures: Mutex<Vec<FailedCell>>,
-    queue: Mutex<VecDeque<usize>>,
-}
-
-impl<C, R, F> PartialInner<C, R, F>
-where
-    C: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&C, &CellCtx) -> R + Send + Sync + 'static,
-{
-    fn worker(self: &Arc<Self>) {
-        loop {
-            let index = { self.queue.lock().expect("queue poisoned").pop_front() };
-            let Some(index) = index else { return };
-            // Claim the cell, bumping its run token.
-            let Some(token) = self.claim(index) else {
-                continue;
-            };
-            let attempt = self.attempts[index].fetch_add(1, Ordering::Relaxed) + 1;
-            *self.started[index].lock().expect("start stamp poisoned") = Some(Instant::now());
-            let seed = mix64(self.base_seed ^ index as u64);
-            let pending = Arc::new(Mutex::new(PendingStats::default()));
-            let ctx = CellCtx {
-                index,
-                seed,
-                pending: Some(pending.clone()),
-                trace_dir: self.trace_dir.clone(),
-            };
-            let running = pack(ST_RUNNING, token);
-            match catch_unwind(AssertUnwindSafe(|| (self.f)(&self.cells[index], &ctx))) {
-                Ok(r) => {
-                    // Publish the result (with this attempt's buffered
-                    // telemetry) before the state flip so a DONE state
-                    // always has a filled slot. If the CAS fails the
-                    // watchdog superseded this run; its replacement owns
-                    // the cell now (and, cells being deterministic, will
-                    // write the identical value).
-                    let buffered =
-                        std::mem::take(&mut *pending.lock().expect("pending stats poisoned"));
-                    *self.slots[index].lock().expect("result slot poisoned") = Some((r, buffered));
-                    let _ = self.states[index].compare_exchange(
-                        running,
-                        pack(ST_DONE, token),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    );
-                }
-                Err(_) if attempt < 2 => {
-                    // One retry: hand the cell back to the queue.
-                    if self.states[index]
-                        .compare_exchange(
-                            running,
-                            pack(ST_PENDING, token),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.queue.lock().expect("queue poisoned").push_back(index);
-                    }
-                }
-                Err(payload) => {
-                    if self.states[index]
-                        .compare_exchange(
-                            running,
-                            pack(ST_FAILED, token),
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.failures
-                            .lock()
-                            .expect("failure list poisoned")
-                            .push(FailedCell {
-                                index,
-                                seed,
-                                cause: CellFailure::Panicked(panic_message(payload.as_ref())),
-                                attempts: attempt,
-                            });
-                    }
-                }
-            }
-        }
-    }
-
-    /// CAS the cell from PENDING to RUNNING with a fresh token. `None`
-    /// on a stale queue entry (the cell already reached a terminal
-    /// state or another run claimed it).
-    fn claim(&self, index: usize) -> Option<u64> {
-        loop {
-            let cur = self.states[index].load(Ordering::Acquire);
-            if state_of(cur) != ST_PENDING {
-                return None;
-            }
-            let token = token_of(cur) + 1;
-            if self.states[index]
-                .compare_exchange(
-                    cur,
-                    pack(ST_RUNNING, token),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                return Some(token);
-            }
-        }
-    }
 }
 
 /// A parallel sweep over independent experiment cells.
@@ -763,7 +448,6 @@ pub struct Sweep<C> {
     threads: usize,
     base_seed: u64,
     trace_dir: Option<PathBuf>,
-    cell_timeout: Option<Duration>,
     cache: Option<SweepCache>,
 }
 
@@ -778,17 +462,14 @@ struct SweepCache {
 
 impl<C: Sync> Sweep<C> {
     /// A sweep over `cells`, using `FANCY_THREADS` (or the machine's
-    /// parallelism) workers, the default base seed, and the
-    /// `FANCY_CELL_TIMEOUT` watchdog (none by default).
+    /// parallelism) workers and the default base seed.
     pub fn new(label: impl Into<String>, cells: Vec<C>) -> Self {
-        let env = BenchEnv::from_env();
         Sweep {
             label: label.into(),
             cells,
-            threads: env.threads,
+            threads: BenchEnv::from_env().threads,
             base_seed: 0xFA9C,
             trace_dir: None,
-            cell_timeout: env.cell_timeout,
             cache: None,
         }
     }
@@ -814,17 +495,8 @@ impl<C: Sync> Sweep<C> {
         self
     }
 
-    /// Set the per-cell wall-clock watchdog used by
-    /// [`Sweep::run_partial`] (overriding `FANCY_CELL_TIMEOUT`). A cell
-    /// exceeding it is retried once on a fresh thread, then reported in
-    /// [`SweepReport::failed_cells`]; the hung thread is abandoned.
-    pub fn watchdog(mut self, timeout: Duration) -> Self {
-        self.cell_timeout = Some(timeout);
-        self
-    }
-
-    /// Attach a content-addressed result store: the `*_cached` entry
-    /// points serve warm cells from `store` and persist cold ones on
+    /// Attach a content-addressed result store: [`Sweep::try_run_cached`]
+    /// serves warm cells from `store` and persists cold ones on
     /// success. `salt` is the sweep-level key material — fold in the
     /// label, scale, grid shape, and anything else that shapes a
     /// cell's work besides the cell value and its seed (see
@@ -853,20 +525,21 @@ impl<C: Sync> Sweep<C> {
     /// Execute `f` once per cell and return the results in input order,
     /// plus the aggregate report. Results are identical for every
     /// thread count because seeds and result slots are keyed by cell
-    /// index, not by worker.
+    /// index, not by worker. With one thread (or one cell) the cells
+    /// run in the caller's thread.
     ///
     /// A panicking cell is caught and retried once; if it panics again
     /// the whole sweep panics *at the end* with a diagnosis naming
-    /// every failed cell and its seed (all other cells still run to
-    /// completion first). Use [`Sweep::run_partial`] to receive the
-    /// surviving results instead of a panic.
+    /// every failed cell, its seed and its attempts (all other cells
+    /// still run to completion first). Rerun a failed cell with
+    /// `f(&cells[index], &CellCtx::detached(seed))` to reproduce it.
     pub fn run<R, F>(&self, f: F) -> (Vec<R>, SweepReport)
     where
         R: Send,
         F: Fn(&C, &CellCtx) -> R + Sync,
     {
         let start = Instant::now();
-        let stats = Arc::new(SharedStats::default());
+        let stats = Mutex::new(PendingStats::default());
         let n = self.cells.len();
         let trace_dir = self.trace_dir.clone().map(Arc::new);
         let failures: Mutex<Vec<FailedCell>> = Mutex::new(Vec::new());
@@ -888,7 +561,10 @@ impl<C: Sync> Sweep<C> {
                 };
                 match catch_unwind(AssertUnwindSafe(|| f(cell, &ctx))) {
                     Ok(r) => {
-                        stats.commit(&pending.lock().expect("pending stats poisoned"));
+                        stats
+                            .lock()
+                            .expect("sweep stats poisoned")
+                            .commit(&pending.lock().expect("pending stats poisoned"));
                         return Some(r);
                     }
                     Err(_) if attempts < 2 => {} // one retry
@@ -899,8 +575,8 @@ impl<C: Sync> Sweep<C> {
                             .push(FailedCell {
                                 index,
                                 seed,
-                                cause: CellFailure::Panicked(panic_message(payload.as_ref())),
                                 attempts,
+                                message: panic_message(payload.as_ref()),
                             });
                         return None;
                     }
@@ -946,21 +622,20 @@ impl<C: Sync> Sweep<C> {
             panic!("{}", failure_diagnosis(&self.label, &failed, n));
         }
 
-        let agg = stats.aggregated();
+        let agg = stats.into_inner().expect("sweep stats poisoned");
         let report = SweepReport {
             label: self.label.clone(),
             cells: n,
             threads: self.threads.min(n.max(1)),
             wall: start.elapsed(),
             telemetry: agg.telemetry,
-            sim_seconds: agg.sim_seconds,
-            kernel_wall: agg.kernel_wall,
+            sim_seconds: agg.sim_nanos as f64 / 1e9,
+            kernel_wall: Duration::from_nanos(agg.wall_nanos),
             networks: agg.networks,
             cache_hits: agg.cache_hits,
             cache_misses: agg.cache_misses,
-            phases: agg.phases,
+            phases: agg.phases.into_spans(),
             metrics: agg.metrics,
-            failed_cells: Vec::new(),
         };
         let results = results
             .into_iter()
@@ -986,11 +661,14 @@ impl<C: Sync> Sweep<C> {
         Ok((ok, report))
     }
 
-    /// [`Sweep::run`] with the attached cache consulted per cell: warm
-    /// cells return their stored result and stored telemetry without
-    /// executing, cold cells execute and are stored on success. The
+    /// [`Sweep::try_run`] with the attached cache consulted per cell:
+    /// warm cells return their stored result and stored telemetry
+    /// without executing, cold cells execute and are stored on
+    /// success. `Err` results are never stored, so an errored cell
+    /// re-runs on the next sweep instead of caching its failure. The
     /// report's [`SweepReport::cache_hits`] / `cache_misses` count the
-    /// lookup outcomes. With no cache attached this is exactly `run`.
+    /// lookup outcomes. With no cache attached this is exactly
+    /// `try_run`.
     ///
     /// ```
     /// use fancy_bench::cache::Fingerprint;
@@ -1001,22 +679,10 @@ impl<C: Sync> Sweep<C> {
     /// let salt = Fingerprint::new().with("squares");
     /// let (squares, _report) = Sweep::new("squares", (0..8u64).collect::<Vec<_>>())
     ///     .cache_from_env(salt)
-    ///     .run_cached(|&cell, _ctx| cell * cell);
+    ///     .try_run_cached(|&cell, _ctx| Ok::<_, String>(cell * cell))
+    ///     .unwrap();
     /// assert_eq!(squares[5], 25);
     /// ```
-    pub fn run_cached<R, F>(&self, f: F) -> (Vec<R>, SweepReport)
-    where
-        C: CacheKeyed,
-        R: Send + CacheCodec,
-        F: Fn(&C, &CellCtx) -> R + Sync,
-    {
-        let cache = self.cache.as_ref();
-        self.run(|cell, ctx| run_cell_cached_infallible(cache, cell, ctx, &f))
-    }
-
-    /// [`Sweep::try_run`] with the attached cache consulted per cell.
-    /// `Err` results are never stored, so an errored cell re-runs on
-    /// the next sweep instead of caching its failure.
     pub fn try_run_cached<R, E, F>(&self, f: F) -> Result<(Vec<R>, SweepReport), E>
     where
         C: CacheKeyed,
@@ -1093,216 +759,6 @@ where
     Ok(r)
 }
 
-/// [`run_cell_cached`] for infallible cell functions.
-fn run_cell_cached_infallible<C, R, F>(
-    cache: Option<&SweepCache>,
-    cell: &C,
-    ctx: &CellCtx,
-    f: &F,
-) -> R
-where
-    C: CacheKeyed + ?Sized,
-    R: CacheCodec,
-    F: Fn(&C, &CellCtx) -> R,
-{
-    let wrapped = |c: &C, x: &CellCtx| -> Result<R, std::convert::Infallible> { Ok(f(c, x)) };
-    match run_cell_cached(cache, cell, ctx, &wrapped) {
-        Ok(r) => r,
-        Err(e) => match e {},
-    }
-}
-
-impl<C: Send + Sync + 'static> Sweep<C> {
-    /// Crash-isolated sweep: execute `f` once per cell and return
-    /// whatever results survive, `None`-filling the cells that did not.
-    ///
-    /// Unlike [`Sweep::run`] this never panics on cell failure and —
-    /// when a watchdog is set via [`Sweep::watchdog`] or
-    /// `FANCY_CELL_TIMEOUT` — also survives cells that *hang*: a cell
-    /// exceeding the timeout is abandoned on its (leaked) thread and
-    /// retried once on a fresh one, so one wedged pixel cannot stall a
-    /// whole heatmap. Every unrecoverable cell is listed in
-    /// [`SweepReport::failed_cells`] with its deterministic seed for
-    /// offline reproduction. Without a watchdog, a hung cell hangs the
-    /// sweep (there is no safe way to preempt arbitrary code).
-    ///
-    /// Workers run on detached threads (hence the `'static` bounds and
-    /// the consuming `self`); determinism guarantees are unchanged —
-    /// seeds and result slots stay index-keyed.
-    ///
-    /// ```
-    /// use fancy_bench::runner::{CellFailure, Sweep};
-    ///
-    /// let (results, report) = Sweep::new("partial", vec![1u64, 2, 3])
-    ///     .threads(2)
-    ///     .run_partial(|&cell, _ctx| {
-    ///         if cell == 2 {
-    ///             panic!("cell two always crashes");
-    ///         }
-    ///         cell * 10
-    ///     });
-    /// assert_eq!(results, vec![Some(10), None, Some(30)]);
-    /// assert_eq!(report.failed_cells.len(), 1);
-    /// assert_eq!(report.failed_cells[0].index, 1);
-    /// assert!(matches!(report.failed_cells[0].cause, CellFailure::Panicked(_)));
-    /// ```
-    pub fn run_partial<R, F>(self, f: F) -> (Vec<Option<R>>, SweepReport)
-    where
-        R: Send + 'static,
-        F: Fn(&C, &CellCtx) -> R + Send + Sync + 'static,
-    {
-        let start = Instant::now();
-        let n = self.cells.len();
-        let label = self.label.clone();
-        let threads = self.threads.min(n.max(1));
-        let timeout = self.cell_timeout;
-        let base_seed = self.base_seed;
-
-        let inner = Arc::new(PartialInner {
-            cells: self.cells,
-            f,
-            base_seed,
-            stats: Arc::new(SharedStats::default()),
-            trace_dir: self.trace_dir.map(Arc::new),
-            states: (0..n)
-                .map(|_| AtomicU64::new(pack(ST_PENDING, 0)))
-                .collect(),
-            attempts: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            started: (0..n).map(|_| Mutex::new(None)).collect(),
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            failures: Mutex::new(Vec::new()),
-            queue: Mutex::new((0..n).collect()),
-        });
-
-        for _ in 0..threads.min(n) {
-            let w = Arc::clone(&inner);
-            std::thread::spawn(move || w.worker());
-        }
-
-        // Watchdog loop: poll cell states until every cell reaches a
-        // terminal state, expiring runs that exceed the timeout. Each
-        // expiry spawns a replacement worker because the thread stuck
-        // on the expired cell is lost to the pool.
-        loop {
-            if n == 0 {
-                break;
-            }
-            let mut terminal = 0;
-            for (index, state) in inner.states.iter().enumerate() {
-                let cur = state.load(Ordering::Acquire);
-                match state_of(cur) {
-                    ST_DONE | ST_FAILED => terminal += 1,
-                    ST_RUNNING => {
-                        let Some(limit) = timeout else { continue };
-                        let started = *inner.started[index].lock().expect("start stamp poisoned");
-                        if started.is_none_or(|s| s.elapsed() < limit) {
-                            continue;
-                        }
-                        let token = token_of(cur);
-                        let attempts = inner.attempts[index].load(Ordering::Relaxed);
-                        let (next_state, requeue) = if attempts < 2 {
-                            (ST_PENDING, true)
-                        } else {
-                            (ST_FAILED, false)
-                        };
-                        if state
-                            .compare_exchange(
-                                cur,
-                                pack(next_state, token),
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            )
-                            .is_err()
-                        {
-                            continue; // the run finished just in time
-                        }
-                        if requeue {
-                            inner.queue.lock().expect("queue poisoned").push_back(index);
-                        } else {
-                            inner.failures.lock().expect("failure list poisoned").push(
-                                FailedCell {
-                                    index,
-                                    seed: mix64(base_seed ^ index as u64),
-                                    cause: CellFailure::TimedOut(limit),
-                                    attempts,
-                                },
-                            );
-                        }
-                        let w = Arc::clone(&inner);
-                        std::thread::spawn(move || w.worker());
-                    }
-                    _ => {}
-                }
-            }
-            if terminal == n {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-
-        let results: Vec<Option<R>> = inner
-            .states
-            .iter()
-            .zip(&inner.slots)
-            .map(|(state, slot)| {
-                if state_of(state.load(Ordering::Acquire)) == ST_DONE {
-                    // Taking the slot consumes whichever attempt's
-                    // publication survived there, so exactly one
-                    // buffered attempt is committed per completed cell.
-                    slot.lock()
-                        .expect("result slot poisoned")
-                        .take()
-                        .map(|(r, buffered)| {
-                            inner.stats.commit(&buffered);
-                            r
-                        })
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let mut failed = inner
-            .failures
-            .lock()
-            .expect("failure list poisoned")
-            .clone();
-        failed.sort_by_key(|c| c.index);
-
-        let agg = inner.stats.aggregated();
-        let report = SweepReport {
-            label,
-            cells: n,
-            threads,
-            wall: start.elapsed(),
-            telemetry: agg.telemetry,
-            sim_seconds: agg.sim_seconds,
-            kernel_wall: agg.kernel_wall,
-            networks: agg.networks,
-            cache_hits: agg.cache_hits,
-            cache_misses: agg.cache_misses,
-            phases: agg.phases,
-            metrics: agg.metrics,
-            failed_cells: failed,
-        };
-        (results, report)
-    }
-
-    /// [`Sweep::run_partial`] with the attached cache consulted per
-    /// cell: on a resumed run, previously completed cells are warm hits
-    /// and only never-completed cells (including the prior run's
-    /// [`SweepReport::failed_cells`]) execute. Failed and timed-out
-    /// cells are never stored, so they always re-run.
-    pub fn run_partial_cached<R, F>(mut self, f: F) -> (Vec<Option<R>>, SweepReport)
-    where
-        C: CacheKeyed,
-        R: Send + CacheCodec + 'static,
-        F: Fn(&C, &CellCtx) -> R + Send + Sync + 'static,
-    {
-        let cache = self.cache.take();
-        self.run_partial(move |cell, ctx| run_cell_cached_infallible(cache.as_ref(), cell, ctx, &f))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1321,7 +777,6 @@ mod tests {
                     });
             assert_eq!(out, (0..37).map(|c| c * 10).collect::<Vec<_>>());
             assert_eq!(report.cells, 37);
-            assert!(report.failed_cells.is_empty());
         }
     }
 
@@ -1361,6 +816,49 @@ mod tests {
         net
     }
 
+    /// A FANcY linear scenario whose gray-failure rate and chaos plan
+    /// vary with the cell, so every cell leaves distinct gray, chaos,
+    /// control and high-water counters behind.
+    fn chaotic_cell(cell: u64, ctx: &CellCtx) -> TelemetryCounters {
+        use fancy_apps::ScenarioSpec;
+        use fancy_net::Prefix;
+        use fancy_sim::{FaultPlan, FaultStage, FaultTarget, GrayFailure};
+        use fancy_tcp::{FlowConfig, ScheduledFlow};
+
+        let entry = Prefix(0x0A_40_00 + cell as u32);
+        let mut sc = ScenarioSpec::linear()
+            .seed(ctx.seed)
+            .flows(vec![ScheduledFlow {
+                start: SimTime(0),
+                dst: entry.host(1),
+                cfg: FlowConfig::for_rate(2_000_000, 1.0),
+            }])
+            .high_priority(vec![entry])
+            .build()
+            .expect("scenario builds");
+        sc.fail(GrayFailure::single_entry(
+            entry,
+            0.2 + 0.1 * cell as f64,
+            SimTime(300_000_000),
+        ));
+        let edge = sc.monitored_edge();
+        let (link, s1) = (edge.link, edge.a);
+        sc.net.kernel.add_fault_plan(
+            link,
+            s1,
+            FaultPlan::new(ctx.seed)
+                .stage(FaultStage::new(FaultTarget::Control(None)).bernoulli(0.05))
+                .stage(FaultStage::new(FaultTarget::All).duplicate(0.02).reorder(
+                    0.02,
+                    SimDuration::from_micros(30),
+                    SimDuration::from_millis(1),
+                )),
+        );
+        sc.net.run_until(SimTime(1_000_000_000));
+        ctx.absorb(&sc.net);
+        sc.net.kernel.telemetry
+    }
+
     #[test]
     fn telemetry_aggregates_across_cells() {
         // Each cell runs a tiny 2-node network pushing one packet.
@@ -1384,6 +882,42 @@ mod tests {
         );
         let (_, quiet) = Sweep::new("quiet", vec![(); 2]).threads(1).run(|_, _| {});
         assert!(!quiet.summary().contains("Mevents/s"));
+
+        // Cells that differ in every counter: the aggregate must equal
+        // the serial `absorb` fold of the per-cell kernels, field for
+        // field, at any thread count.
+        for threads in [1, 8] {
+            let (per_cell, report) = Sweep::new("chaotic", (0..6u64).collect::<Vec<_>>())
+                .threads(threads)
+                .run(|&cell, ctx| chaotic_cell(cell, ctx));
+            let mut fold = TelemetryCounters::default();
+            for t in &per_cell {
+                fold.absorb(t);
+            }
+            assert_eq!(report.telemetry, fold, "{threads} thread(s)");
+            assert_eq!(report.networks, 6);
+            assert!(
+                per_cell.windows(2).all(|w| w[0] != w[1]),
+                "cells must differ"
+            );
+            let covered = [
+                "packets_gray_dropped",
+                "control_drops",
+                "chaos_drops",
+                "chaos_dups",
+                "chaos_reorders",
+                "chaos_control_faults",
+                "queue_high_water",
+                "timer_high_water",
+                "pool_high_water",
+            ];
+            for (name, value) in fold.to_pairs() {
+                assert!(
+                    value > 0 || !covered.contains(&name),
+                    "{name} is zero: the sweep does not exercise it"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1412,11 +946,12 @@ mod tests {
 
     #[test]
     fn uncached_sweeps_report_zero_cache_counters() {
-        // `run_cached` without an attached cache is exactly `run`: no
-        // lookups, no counters, no summary line.
+        // `try_run_cached` without an attached cache is exactly
+        // `try_run`: no lookups, no counters, no summary line.
         let (out, report) = Sweep::new("plain", (0..4u64).collect::<Vec<_>>())
             .threads(2)
-            .run_cached(|&c, _| c + 1);
+            .try_run_cached(|&c, _| Ok::<_, String>(c + 1))
+            .unwrap();
         assert_eq!(out, vec![1, 2, 3, 4]);
         assert_eq!((report.cache_hits, report.cache_misses), (0, 0));
         assert!(!report.summary().contains("cache:"));
@@ -1443,7 +978,7 @@ mod tests {
         // Cell 2 panics on its first attempt only; the retry succeeds,
         // so the sweep completes with no failure on record.
         let first_attempt = AtomicU32::new(0);
-        let (out, report) = Sweep::new("flaky", (0..8usize).collect::<Vec<_>>())
+        let (out, _) = Sweep::new("flaky", (0..8usize).collect::<Vec<_>>())
             .threads(4)
             .run(|&c, _| {
                 if c == 2 && first_attempt.fetch_add(1, Ordering::Relaxed) == 0 {
@@ -1452,7 +987,6 @@ mod tests {
                 c
             });
         assert_eq!(out, (0..8).collect::<Vec<_>>());
-        assert!(report.failed_cells.is_empty());
         assert_eq!(first_attempt.load(Ordering::Relaxed), 2);
     }
 
@@ -1481,69 +1015,5 @@ mod tests {
         assert!(msg.contains("cell 0003"), "{msg}");
         assert!(msg.contains("cell three is cursed"), "{msg}");
         assert!(msg.contains(&format!("{:#018x}", mix64(7u64 ^ 3))), "{msg}");
-    }
-
-    #[test]
-    fn run_partial_returns_survivors_and_failed_cells() {
-        let (out, report) = Sweep::new("partial", (0..10usize).collect::<Vec<_>>())
-            .threads(3)
-            .run_partial(|&c, ctx| {
-                assert_eq!(c, ctx.index);
-                if c == 4 {
-                    panic!("boom {c}");
-                }
-                c * 2
-            });
-        let expect: Vec<Option<usize>> = (0..10)
-            .map(|c| if c == 4 { None } else { Some(c * 2) })
-            .collect();
-        assert_eq!(out, expect);
-        assert_eq!(report.failed_cells.len(), 1);
-        let fc = &report.failed_cells[0];
-        assert_eq!(fc.index, 4);
-        assert_eq!(fc.attempts, 2);
-        assert_eq!(fc.cause, CellFailure::Panicked("boom 4".into()));
-        assert!(report.summary().contains("FAILED cell 0004"));
-    }
-
-    #[test]
-    fn run_partial_watchdog_expires_hung_cells() {
-        // Cell 1 sleeps far past the watchdog on both attempts; the
-        // other cells complete and the sweep returns promptly.
-        let t0 = Instant::now();
-        let (out, report) = Sweep::new("hung", (0..4usize).collect::<Vec<_>>())
-            .threads(2)
-            .watchdog(Duration::from_millis(60))
-            .run_partial(|&c, _| {
-                if c == 1 {
-                    std::thread::sleep(Duration::from_secs(600));
-                }
-                c
-            });
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "watchdog failed to fire"
-        );
-        assert_eq!(out, vec![Some(0), None, Some(2), Some(3)]);
-        assert_eq!(report.failed_cells.len(), 1);
-        assert_eq!(report.failed_cells[0].index, 1);
-        assert_eq!(
-            report.failed_cells[0].cause,
-            CellFailure::TimedOut(Duration::from_millis(60))
-        );
-    }
-
-    #[test]
-    fn run_partial_matches_run_results_when_nothing_fails() {
-        let (plain, _) = Sweep::new("ok", (0..16u64).collect::<Vec<_>>())
-            .seed(0xAB)
-            .threads(4)
-            .run(|&c, ctx| c.wrapping_mul(ctx.seed));
-        let (partial, report) = Sweep::new("ok", (0..16u64).collect::<Vec<_>>())
-            .seed(0xAB)
-            .threads(4)
-            .run_partial(|&c, ctx| c.wrapping_mul(ctx.seed));
-        assert_eq!(partial, plain.into_iter().map(Some).collect::<Vec<_>>());
-        assert!(report.failed_cells.is_empty());
     }
 }

@@ -5,9 +5,9 @@
 //! 8 threads; any change to the key inputs re-executes; corrupt or
 //! truncated records degrade to silent misses that self-heal.
 
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
 use fancy_bench::cache::{CellCache, Fingerprint};
 use fancy_bench::runner::{CellCtx, Sweep};
@@ -52,10 +52,11 @@ fn warm_sweep_executes_zero_cells_and_reproduces_the_report() {
             .seed(0xCAC4E)
             .threads(threads)
             .cache(CellCache::new(&dir), Fingerprint::new().with("acceptance"))
-            .run_cached(|&cell, ctx| {
+            .try_run_cached(|&cell, ctx| {
                 executed.fetch_add(1, Ordering::SeqCst);
-                run_cell(cell, ctx)
+                Ok::<_, Infallible>(run_cell(cell, ctx))
             })
+            .unwrap()
     };
 
     let (cold, cold_report) = run(1);
@@ -89,24 +90,23 @@ fn warm_sweep_executes_zero_cells_and_reproduces_the_report() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `FANCY_CACHE_DIR` + `cache_from_env` warm the crash-isolated
-/// `run_partial_cached` path too.
+/// `FANCY_CACHE_DIR` + `cache_from_env` warm a parallel sweep too.
 #[test]
-fn fancy_cache_dir_env_warms_partial_sweeps() {
+fn fancy_cache_dir_env_warms_sweeps() {
     let dir = fresh_dir("env");
     std::env::set_var("FANCY_CACHE_DIR", &dir);
     let run = || {
-        let executed = Arc::new(AtomicU32::new(0));
-        let counter = executed.clone();
-        let (results, report) = Sweep::new("env-partial", (0..8usize).collect::<Vec<_>>())
+        let executed = AtomicU32::new(0);
+        let (results, report) = Sweep::new("env", (0..8usize).collect::<Vec<_>>())
             .seed(0xE4B)
             .threads(2)
-            .cache_from_env(Fingerprint::new().with("env-partial"))
-            .run_partial_cached(move |&cell, ctx| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                run_cell(cell, ctx)
-            });
-        (results, report, executed.load(Ordering::SeqCst))
+            .cache_from_env(Fingerprint::new().with("env"))
+            .try_run_cached(|&cell, ctx| {
+                executed.fetch_add(1, Ordering::SeqCst);
+                Ok::<_, Infallible>(run_cell(cell, ctx))
+            })
+            .unwrap();
+        (results, report, executed.into_inner())
     };
 
     let (cold, cold_report, cold_executed) = run();
@@ -115,10 +115,10 @@ fn fancy_cache_dir_env_warms_partial_sweeps() {
 
     assert_eq!(cold_executed, 8);
     assert_eq!(cold_report.cache_misses, 8);
-    assert_eq!(warm_executed, 0, "warm partial sweep executed cells");
+    assert_eq!(warm_executed, 0, "warm sweep executed cells");
     assert_eq!(warm_report.cache_hits, 8);
     assert_eq!(warm, cold);
-    assert!(cold.iter().all(Option::is_some));
+    assert_eq!(cold.len(), 8);
     assert_eq!(warm_report.telemetry, cold_report.telemetry);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -137,10 +137,11 @@ fn any_key_component_change_re_executes() {
             .seed(seed)
             .threads(1)
             .cache(store.clone(), salt)
-            .run_cached(|&cell, ctx| {
+            .try_run_cached(|&cell, ctx| {
                 executed.fetch_add(1, Ordering::SeqCst);
-                run_cell(cell, ctx)
+                Ok::<_, Infallible>(run_cell(cell, ctx))
             })
+            .unwrap()
     };
     let salt = || Fingerprint::new().with("invalidation");
 
@@ -195,10 +196,11 @@ fn corrupt_records_degrade_to_silent_misses() {
             .seed(0xBADF00D)
             .threads(1)
             .cache(store.clone(), Fingerprint::new().with("corruption"))
-            .run_cached(|&cell, ctx| {
+            .try_run_cached(|&cell, ctx| {
                 executed.fetch_add(1, Ordering::SeqCst);
-                run_cell(cell, ctx)
+                Ok::<_, Infallible>(run_cell(cell, ctx))
             })
+            .unwrap()
     };
 
     let (cold, _) = run();

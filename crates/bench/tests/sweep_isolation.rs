@@ -1,23 +1,22 @@
-//! ISSUE 4 acceptance: a sweep containing a deliberately panicking cell
-//! *and* a deliberately hung cell completes, returns the results of all
-//! other cells, and lists both casualties in `SweepReport::failed_cells`
-//! with the right causes — while real simulation cells around them keep
-//! their deterministic results.
+//! Crash isolation of `Sweep::run`: a sweep of real simulation cells
+//! with one cell that always panics runs every healthy cell exactly
+//! once, and only then panics with a per-cell diagnosis (index, seed,
+//! attempts, payload). The healthy cells' results are the ones a
+//! detached rerun of the same seed produces.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 
 use fancy_apps::ScenarioSpec;
-use fancy_bench::runner::{CellCtx, CellFailure, Sweep};
+use fancy_bench::runner::{CellCtx, Sweep};
 use fancy_net::Prefix;
-use fancy_sim::{GrayFailure, LinkConfig, Network, SimDuration, SimTime, SinkNode};
+use fancy_sim::{GrayFailure, SimTime};
 use fancy_tcp::{FlowConfig, ScheduledFlow};
 
 const CELLS: usize = 16;
 const PANICKING: usize = 3;
-const HUNG: usize = 7;
-const WATCHDOG: Duration = Duration::from_millis(300);
+const BASE_SEED: u64 = 0x150_1A7E;
 
 /// A real (small) simulation cell: gray-drop count of a linear scenario.
 fn simulate(ctx: &CellCtx) -> u64 {
@@ -38,152 +37,79 @@ fn simulate(ctx: &CellCtx) -> u64 {
     sc.net.kernel.records.total_gray_drops()
 }
 
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
 #[test]
-fn crashing_and_hanging_cells_do_not_take_down_the_sweep() {
-    let t0 = Instant::now();
-    let (results, report) = Sweep::new("isolation", (0..CELLS).collect::<Vec<usize>>())
-        .seed(0x150_1A7E)
-        .threads(4)
-        .watchdog(WATCHDOG)
-        .run_partial(|&cell, ctx| {
-            match cell {
-                PANICKING => panic!("deliberate panic in cell {cell}"),
-                HUNG => std::thread::sleep(Duration::from_secs(3600)),
-                _ => {}
-            }
-            simulate(ctx)
-        });
-    assert!(
-        t0.elapsed() < Duration::from_secs(60),
-        "the hung cell stalled the sweep for {:?}",
-        t0.elapsed()
-    );
+fn panicking_cell_fails_the_sweep_after_every_healthy_cell_ran_once() {
+    let reference = Sweep::new("isolation", vec![(); CELLS]).seed(BASE_SEED);
+    // What a detached rerun of each healthy cell's seed produces.
+    let expected: Vec<Option<u64>> = (0..CELLS)
+        .map(|cell| {
+            (cell != PANICKING).then(|| simulate(&CellCtx::detached(reference.cell_seed(cell))))
+        })
+        .collect();
 
-    // Every healthy cell has a result; exactly the two casualties don't.
-    assert_eq!(results.len(), CELLS);
-    for (index, r) in results.iter().enumerate() {
-        if index == PANICKING || index == HUNG {
-            assert!(r.is_none(), "cell {index} should have failed");
-        } else {
-            assert!(r.is_some(), "healthy cell {index} lost its result");
-        }
-    }
+    for threads in [1, 4] {
+        let sweep = Sweep::new("isolation", (0..CELLS).collect::<Vec<usize>>())
+            .seed(BASE_SEED)
+            .threads(threads);
+        let executions: Vec<AtomicU32> = (0..CELLS).map(|_| AtomicU32::new(0)).collect();
+        let results: Mutex<Vec<Option<u64>>> = Mutex::new(vec![None; CELLS]);
 
-    // Both casualties are reported, in index order, with correct causes
-    // and reproduction seeds.
-    assert_eq!(report.failed_cells.len(), 2);
-    let panicked = &report.failed_cells[0];
-    assert_eq!(panicked.index, PANICKING);
-    assert_eq!(
-        panicked.seed,
-        Sweep::new("x", vec![(); CELLS])
-            .seed(0x150_1A7E)
-            .cell_seed(PANICKING)
-    );
-    assert_eq!(
-        panicked.attempts, 2,
-        "the one-retry policy must have re-run it"
-    );
-    let CellFailure::Panicked(msg) = &panicked.cause else {
-        panic!(
-            "cell {PANICKING} should be a panic, got {:?}",
-            panicked.cause
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            sweep.run(|&cell, ctx| {
+                executions[cell].fetch_add(1, Ordering::SeqCst);
+                if cell == PANICKING {
+                    panic!("deliberate panic in cell {cell}");
+                }
+                let drops = simulate(ctx);
+                results.lock().unwrap()[cell] = Some(drops);
+                drops
+            })
+        }));
+        let msg = panic_text(
+            caught
+                .expect_err("a cell that always panics must fail the sweep")
+                .as_ref(),
         );
-    };
-    assert!(
-        msg.contains("deliberate panic in cell 3"),
-        "payload lost: {msg}"
-    );
 
-    let hung = &report.failed_cells[1];
-    assert_eq!(hung.index, HUNG);
-    assert_eq!(hung.cause, CellFailure::TimedOut(WATCHDOG));
-
-    // The survivors' results are the same ones a clean serial run
-    // produces — crash isolation must not perturb determinism.
-    let sweep = Sweep::new("reference", (0..CELLS).collect::<Vec<usize>>()).seed(0x150_1A7E);
-    for (index, r) in results.iter().enumerate() {
-        if let Some(drops) = r {
-            let expect = simulate(&CellCtx::detached(sweep.cell_seed(index)));
+        // The panic came at the end: every healthy cell ran exactly
+        // once, and the broken one twice (the one-retry policy).
+        for (cell, n) in executions.iter().enumerate() {
+            let want = if cell == PANICKING { 2 } else { 1 };
             assert_eq!(
-                *drops, expect,
-                "cell {index} diverged from the serial reference"
+                n.load(Ordering::SeqCst),
+                want,
+                "cell {cell} at {threads} thread(s)"
             );
         }
+
+        // The diagnosis names the cell, its seed, its attempts and the
+        // payload — everything needed to reproduce it offline.
+        assert!(
+            msg.contains(&format!("sweep 'isolation': 1 of {CELLS} cell(s) failed")),
+            "{msg}"
+        );
+        assert!(msg.contains("cell 0003"), "{msg}");
+        assert!(
+            msg.contains(&format!("{:#018x}", sweep.cell_seed(PANICKING))),
+            "{msg}"
+        );
+        assert!(msg.contains("after 2 attempt(s)"), "{msg}");
+        assert!(msg.contains("deliberate panic in cell 3"), "{msg}");
+
+        // Crash isolation does not perturb the healthy cells: a
+        // detached rerun of each seed reproduces its result.
+        assert_eq!(
+            results.into_inner().unwrap(),
+            expected,
+            "{threads} thread(s) diverged from the detached reruns"
+        );
     }
-
-    // The failure summary names both cells.
-    let summary = report.summary();
-    assert!(summary.contains("FAILED cell 0003"), "{summary}");
-    assert!(summary.contains("FAILED cell 0007"), "{summary}");
-    assert!(summary.contains("timed out"), "{summary}");
-}
-
-/// A 2-node network that dispatches exactly one event over one
-/// simulated second — cheap, deterministic telemetry.
-fn one_packet_net(seed: u64) -> Network {
-    let mut net = Network::new(seed);
-    let a = net.add_node(Box::new(SinkNode::default()));
-    let b = net.add_node(Box::new(SinkNode::default()));
-    net.connect(a, b, LinkConfig::default());
-    let pkt =
-        fancy_sim::PacketBuilder::new(1, 2, 100, fancy_sim::PacketKind::Udp { flow: 0, seq: 0 })
-            .build();
-    net.kernel.inject(a, 0, pkt, SimTime::ZERO);
-    net.run_until(SimTime::ZERO + SimDuration::from_secs(1));
-    net
-}
-
-fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// Regression: a watchdog-abandoned run that eventually finishes must
-/// not fold its telemetry into the sweep aggregate on top of its
-/// replacement's. Before absorption was gated on winning the cell's
-/// completion CAS, both runs' counters reached the shared atomics and
-/// every metric of the recovered cell was double-counted.
-#[test]
-fn abandoned_run_does_not_double_count_telemetry() {
-    let claims = Arc::new(AtomicU32::new(0));
-    let abandoned_absorbed = Arc::new(AtomicBool::new(false));
-    let (results, report) = {
-        let claims = claims.clone();
-        let flag = abandoned_absorbed.clone();
-        Sweep::new("double-count", vec![()])
-            .threads(1)
-            .watchdog(Duration::from_millis(100))
-            .run_partial(move |_, ctx| {
-                let net = one_packet_net(ctx.seed);
-                if claims.fetch_add(1, Ordering::SeqCst) == 0 {
-                    // First run: overstay the watchdog until the
-                    // replacement has claimed the cell, then absorb and
-                    // finish anyway — a hung thread coming back to life
-                    // after being abandoned.
-                    wait_until("replacement claim", || claims.load(Ordering::SeqCst) >= 2);
-                    ctx.absorb(&net);
-                    flag.store(true, Ordering::SeqCst);
-                } else {
-                    // Replacement: absorb, then finish only once the
-                    // abandoned run has absorbed too, so both buffers
-                    // exist before the cell completes.
-                    ctx.absorb(&net);
-                    wait_until("abandoned absorb", || flag.load(Ordering::SeqCst));
-                }
-                7u64
-            })
-    };
-    assert_eq!(results, vec![Some(7)]);
-    assert!(report.failed_cells.is_empty(), "{:?}", report.failed_cells);
-    // Exactly one run's telemetry may be committed for the one cell.
-    assert_eq!(
-        report.networks, 1,
-        "abandoned run's absorb was double-counted"
-    );
-    assert_eq!(report.telemetry.events_dispatched, 1);
-    assert_eq!(report.sim_seconds, 1.0);
 }

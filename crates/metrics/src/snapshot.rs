@@ -170,6 +170,9 @@ impl Snapshot {
     /// sides — that is a programming error at an instrumentation site,
     /// not a data condition.
     pub fn merge(&mut self, other: &Snapshot) {
+        if other.samples.is_empty() {
+            return;
+        }
         let mut merged = Vec::with_capacity(self.samples.len() + other.samples.len());
         let mut a = std::mem::take(&mut self.samples).into_iter().peekable();
         let mut b = other.samples.iter().peekable();

@@ -14,7 +14,7 @@ use crate::link::{Admission, Link, LinkConfig, RemoteEnd};
 use crate::packet::{Packet, PacketKind};
 use crate::pool::{PacketPool, PacketRef};
 use crate::record::{DetectionRecord, DetectionScope, DetectorKind, Records};
-use crate::telemetry::{TelemetryCounters, TelemetrySink, TelemetrySnapshot};
+use crate::telemetry::{TelemetryCounters, TelemetrySnapshot};
 use crate::time::{SimDuration, SimTime};
 
 /// Index of a link within the kernel.
@@ -80,7 +80,6 @@ pub struct Kernel {
     pub telemetry: TelemetryCounters,
     /// Wall-clock time accumulated inside `run_until` loops.
     pub(crate) wall_elapsed: std::time::Duration,
-    pub(crate) sink: Option<Box<dyn TelemetrySink>>,
     /// Flight recorder. `None` (the default) keeps every emission site a
     /// single branch; see [`Kernel::trace`].
     pub(crate) tracer: Option<Box<dyn TraceSink>>,
@@ -111,7 +110,6 @@ impl Kernel {
             control_drops: 0,
             telemetry: TelemetryCounters::default(),
             wall_elapsed: std::time::Duration::ZERO,
-            sink: None,
             tracer: None,
             metrics: None,
         }
@@ -183,18 +181,6 @@ impl Kernel {
         if let Some(hub) = self.metrics.as_ref() {
             hub.with(f);
         }
-    }
-
-    /// Attach a [`TelemetrySink`]; the network flushes a snapshot to it
-    /// after every completed `run_until`. Replaces any previous sink.
-    pub fn set_telemetry_sink(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Detach and return the current telemetry sink, if any (used by tests
-    /// to inspect a `MemorySink` after a run).
-    pub fn take_telemetry_sink(&mut self) -> Option<Box<dyn TelemetrySink>> {
-        self.sink.take()
     }
 
     /// A point-in-time snapshot of this kernel's telemetry.

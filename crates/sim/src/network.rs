@@ -115,8 +115,7 @@ impl Network {
     /// `until`. Events scheduled exactly at `until` still fire.
     ///
     /// Updates the kernel's [`crate::telemetry::TelemetryCounters`] as it
-    /// dispatches and, if a sink is attached, flushes one cumulative
-    /// [`crate::telemetry::TelemetrySnapshot`] before returning.
+    /// dispatches.
     pub fn run_until(&mut self, until: SimTime) {
         let wall_start = std::time::Instant::now();
         self.start_if_needed();
@@ -162,10 +161,6 @@ impl Network {
         }
         self.kernel.telemetry.pool_recycled = self.kernel.pool.recycled();
         self.kernel.wall_elapsed += wall_start.elapsed();
-        if let Some(mut sink) = self.kernel.sink.take() {
-            sink.record(&self.kernel.telemetry_snapshot());
-            self.kernel.sink = Some(sink);
-        }
     }
 
     /// Run until the event queue is empty.

@@ -11,7 +11,7 @@
 
 use fancy::apps::{format_report, ScenarioError, ScenarioSpec};
 use fancy::prelude::*;
-use fancy::sim::{PrintSink, SimDuration};
+use fancy::sim::SimDuration;
 use fancy::traffic::{paper_traces, synthesize};
 
 fn main() -> Result<(), ScenarioError> {
@@ -33,10 +33,6 @@ fn main() -> Result<(), ScenarioError> {
         .flows(trace.flows.clone())
         .high_priority(dedicated.clone())
         .build()?;
-    // Print a kernel-telemetry line after each run_until.
-    sc.net
-        .kernel
-        .set_telemetry_sink(Box::new(PrintSink::new("isp_monitoring")));
 
     // Break one hot prefix (dedicated-covered), one mid-rank prefix
     // (tree-covered), and one cold prefix (tree-covered, little traffic).
@@ -50,6 +46,10 @@ fn main() -> Result<(), ScenarioError> {
         sc.fail(GrayFailure::single_entry(p, loss, fail_at));
     }
     sc.net.run_until(SimTime::ZERO + duration);
+    eprintln!(
+        "[telemetry isp_monitoring] {}",
+        sc.net.kernel.telemetry_snapshot().summary()
+    );
 
     let (s1, monitored_port) = (sc.switches[0], sc.monitored_edge().port_a);
     let sw: &FancySwitch = sc.net.node(s1);
