@@ -21,6 +21,12 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "== benches compile =="
 cargo build --benches --release --workspace
 
+echo "== perfbench self-tests (repository benchmark, its own workspace) =="
+# perfbench compiles against the metrics and trace APIs, so building and
+# self-testing it here catches an API change that would break the
+# benchmark before the benchmark itself runs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== chaos gate (protocol soak + fault-injected determinism) =="
 # Protocol soak: sessions must survive 20% control loss, degrade to
 # port-level counting at 100%, and recover; plus the isolation check

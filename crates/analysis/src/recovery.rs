@@ -151,7 +151,7 @@ pub fn verify(events: &[TraceEvent], contract: &RecoveryContract) -> RecoveryVer
                 if action == "retrip" {
                     v.flaps += 1;
                 }
-                v.transitions.push((*t, action.clone()));
+                v.transitions.push((*t, action.to_string()));
             }
             TraceEvent::BackupAlarm { entry, .. } if *entry == contract.entry => {
                 v.alarms += 1;
@@ -227,13 +227,13 @@ mod tests {
         }
     }
 
-    fn damp(t: u64, entry: u64, action: &str) -> TraceEvent {
+    fn damp(t: u64, entry: u64, action: &'static str) -> TraceEvent {
         TraceEvent::RerouteDamp {
             t,
             node: 1,
             entry,
             primary: 1,
-            action: action.to_owned(),
+            action: action.into(),
         }
     }
 

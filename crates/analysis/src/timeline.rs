@@ -152,8 +152,8 @@ impl TimelineReport {
                         t_ns: *t,
                         node: *node,
                         port: *port,
-                        detector: detector.clone(),
-                        scope: scope.clone(),
+                        detector: detector.to_string(),
+                        scope: scope.to_string(),
                     });
                 }
                 TraceEvent::Reroute { t, .. } => {
@@ -538,7 +538,7 @@ mod tests {
                 t: 50_000,
                 node: 1,
                 port: 1,
-                step: "descend".to_owned(),
+                step: "descend".into(),
                 path: vec![3],
                 lost: 9,
             },
@@ -546,8 +546,8 @@ mod tests {
                 t: 70_000,
                 node: 1,
                 port: 1,
-                detector: "tree".to_owned(),
-                scope: "path".to_owned(),
+                detector: "tree".into(),
+                scope: "path".into(),
                 entry: None,
                 path: vec![3, 0, 12],
             },
@@ -704,7 +704,7 @@ mod tests {
                 node: 4,
                 entry: 7,
                 primary: 1,
-                action: "engage".to_owned(),
+                action: "engage".into(),
             },
             TraceEvent::Failover {
                 t: 2_000,
@@ -720,7 +720,7 @@ mod tests {
                 node: 4,
                 entry: 7,
                 primary: 1,
-                action: "restore".to_owned(),
+                action: "restore".into(),
             },
             TraceEvent::BackupAlarm {
                 t: 4_000,
@@ -756,7 +756,7 @@ mod tests {
                 t: 10,
                 node: 1,
                 port: 1,
-                step: "uniform".to_owned(),
+                step: "uniform".into(),
                 path: Vec::new(),
                 lost: 0,
             },

@@ -15,6 +15,7 @@
 //!   the device was repaired;
 //! * uniform / link-down detections escalate the incident's severity.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use fancy_net::Prefix;
@@ -143,7 +144,7 @@ impl IncidentTracker {
                     t: rec.time.as_nanos(),
                     node: rec.node as u64,
                     port: rec.port as u64,
-                    severity: Self::severity_of(rec).name().to_owned(),
+                    severity: Cow::Borrowed(Self::severity_of(rec).name()),
                 });
             }
         }

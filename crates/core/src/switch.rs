@@ -15,17 +15,20 @@
 //! 5. wire — where gray failures live.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use fancy_net::{ControlBody, ControlMessage, FancyTag, Prefix, SessionKind};
-use fancy_sim::metrics::Labels;
+use fancy_sim::metrics::{HubIds, Kind, Labels, MetricId, Registry};
 use fancy_sim::{
     DetectionScope, DetectorKind, DropCause, Kernel, Node, PacketKind, PacketRef, PortId,
     TimerToken, TraceEvent, UNIT_TREE,
 };
 
 use crate::config::FancyLayout;
-use crate::fsm::{ReceiverAction, ReceiverFsm, SenderAction, SenderFsm};
+use crate::fsm::{
+    ReceiverAction, ReceiverFsm, ReceiverState, SenderAction, SenderFsm, SenderState,
+};
 use crate::output::{FlagArray, OutputBloom};
 use crate::tree::TreeHasher;
 use crate::zoom::{ZoomEngine, ZoomOutcome, ZoomStep};
@@ -77,42 +80,198 @@ fn body_label(body: &ControlBody) -> &'static str {
     }
 }
 
+/// `role` label / trace value of each counting FSM, indexed by
+/// [`FsmState::ROW`].
+const FSM_ROLES: [&str; 2] = ["tx", "rx"];
+
+/// A counting-FSM state as [`trace_fsm`] needs it: its static name and
+/// its cell in [`HotIds::fsm`].
+trait FsmState: Copy + Eq {
+    /// Row in [`HotIds::fsm`]: the FSM's index in [`FSM_ROLES`].
+    const ROW: usize;
+    /// Every state, in [`FsmState::slot`] order.
+    const ALL: [Self; 4];
+    /// Stable lowercase name.
+    fn label(self) -> &'static str;
+    /// Column in [`HotIds::fsm`].
+    fn slot(self) -> usize;
+}
+
+impl FsmState for SenderState {
+    const ROW: usize = 0;
+    const ALL: [Self; 4] = [
+        SenderState::Idle,
+        SenderState::WaitAck,
+        SenderState::Counting,
+        SenderState::WaitReport,
+    ];
+    fn label(self) -> &'static str {
+        self.name()
+    }
+    fn slot(self) -> usize {
+        self as usize
+    }
+}
+
+impl FsmState for ReceiverState {
+    const ROW: usize = 1;
+    const ALL: [Self; 4] = [
+        ReceiverState::Idle,
+        ReceiverState::Ready,
+        ReceiverState::Counting,
+        ReceiverState::WaitToSend,
+    ];
+    fn label(self) -> &'static str {
+        self.name()
+    }
+    fn slot(self) -> usize {
+        self as usize
+    }
+}
+
+/// `step` values of zoom-tree trace events; the first four also label
+/// `fancy_zoom_depth` (in [`HotIds::zoom_depth`] order).
+const ZOOM_STEPS: [&str; 5] = ["adopt", "descend", "abandon", "leaf", "uniform"];
+/// Index of `"uniform"` in [`ZOOM_STEPS`] (no depth to observe).
+const ZOOM_UNIFORM: usize = 4;
+
+/// `action` values of `fancy_reroute_transitions`; the discriminant is
+/// the column in [`HotIds::reroute`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RerouteAction {
+    /// Damping: the suspicion window tripped, traffic leaves the primary.
+    Engage,
+    /// Damping: hold-down served, traffic probes the primary.
+    Probe,
+    /// Damping: lossy during probation (a flap).
+    Retrip,
+    /// Damping: probation served clean, reroute torn down.
+    Restore,
+    /// Every ranked alternate is unhealthy (drop-and-alarm).
+    Alarm,
+    /// The active alternate changed (cascade step).
+    Failover,
+}
+
+impl RerouteAction {
+    const ALL: [RerouteAction; 6] = [
+        RerouteAction::Engage,
+        RerouteAction::Probe,
+        RerouteAction::Retrip,
+        RerouteAction::Restore,
+        RerouteAction::Alarm,
+        RerouteAction::Failover,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            RerouteAction::Engage => "engage",
+            RerouteAction::Probe => "probe",
+            RerouteAction::Retrip => "retrip",
+            RerouteAction::Restore => "restore",
+            RerouteAction::Alarm => "alarm",
+            RerouteAction::Failover => "failover",
+        }
+    }
+}
+
+/// Metric ids of the switch's per-session families, resolved against
+/// one hub.
+struct HotIds {
+    /// `fancy_fsm_transitions_total{role,subsystem="fsm",to}`, by
+    /// [`FsmState::ROW`] and [`FsmState::slot`].
+    fsm: [[MetricId; 4]; 2],
+    /// `fancy_zoom_depth{step}`, by index into [`ZOOM_STEPS`].
+    zoom_depth: [MetricId; 4],
+    /// `fancy_reroute_transitions{action}`, by [`RerouteAction`].
+    reroute: [MetricId; 6],
+}
+
+impl HotIds {
+    fn resolve(r: &mut Registry) -> Self {
+        fn fsm_row<S: FsmState>(r: &mut Registry) -> [MetricId; 4] {
+            S::ALL.map(|to| {
+                let labels = Labels::new()
+                    .with("subsystem", "fsm")
+                    .with("role", FSM_ROLES[S::ROW])
+                    .with("to", to.label());
+                r.id("fancy_fsm_transitions_total", &labels, Kind::Counter)
+            })
+        }
+        HotIds {
+            fsm: [fsm_row::<SenderState>(r), fsm_row::<ReceiverState>(r)],
+            zoom_depth: std::array::from_fn(|i| {
+                let labels = Labels::new().with("step", ZOOM_STEPS[i]);
+                r.id("fancy_zoom_depth", &labels, Kind::Histogram)
+            }),
+            reroute: RerouteAction::ALL.map(|a| {
+                let labels = Labels::new().with("action", a.name());
+                r.id("fancy_reroute_transitions", &labels, Kind::Counter)
+            }),
+        }
+    }
+}
+
+/// The switch's hot metric families: ids resolved once per attached hub,
+/// then updated with an indexed add. Every method is one branch when no
+/// hub is attached.
+#[derive(Default)]
+struct HotMetrics(HubIds<HotIds>);
+
+impl HotMetrics {
+    fn ids(&mut self, ctx: &Kernel) -> Option<&HotIds> {
+        self.0.get(ctx.metrics_hub(), HotIds::resolve)
+    }
+
+    fn fsm<S: FsmState>(&mut self, ctx: &mut Kernel, to: S) {
+        if let Some(ids) = self.ids(ctx) {
+            let id = ids.fsm[S::ROW][to.slot()];
+            ctx.metric_add(id, 1);
+        }
+    }
+
+    fn zoom_depth(&mut self, ctx: &mut Kernel, step: usize, depth: u64) {
+        if let Some(ids) = self.ids(ctx) {
+            let id = ids.zoom_depth[step];
+            ctx.metric_observe(id, depth);
+        }
+    }
+
+    fn reroute(&mut self, ctx: &mut Kernel, action: RerouteAction) {
+        if let Some(ids) = self.ids(ctx) {
+            let id = ids.reroute[action as usize];
+            ctx.metric_add(id, 1);
+        }
+    }
+}
+
 /// Emit an FSM-transition trace event (and bump the transition counter)
 /// if the state actually changed. Cheap enough to call unconditionally:
-/// the names are static strings and the kernel's trace and metrics
-/// guards are each a single branch.
-fn trace_fsm(
+/// the counter is one indexed add through an id resolved once per hub,
+/// the event borrows the static state names, so neither path allocates,
+/// and each is a single branch when its plane is off.
+fn trace_fsm<S: FsmState>(
+    hot: &mut HotMetrics,
     ctx: &mut Kernel,
     port: PortId,
     kind: u16,
-    role: &'static str,
-    from: &'static str,
-    to: &'static str,
+    from: S,
+    to: S,
 ) {
     if from == to {
         return;
     }
-    if ctx.metrics_enabled() {
-        ctx.metrics(|r| {
-            r.inc(
-                "fancy_fsm_transitions_total",
-                Labels::new()
-                    .with("subsystem", "fsm")
-                    .with("role", role)
-                    .with("to", to),
-            );
-        });
-    }
+    hot.fsm(ctx, to);
     if ctx.trace_enabled() {
         let node = ctx.self_id() as u64;
         ctx.trace(|t| TraceEvent::FsmTransition {
             t,
             node,
             port: port as u64,
-            role: role.to_owned(),
+            role: Cow::Borrowed(FSM_ROLES[S::ROW]),
             unit: unit_of(kind),
-            from: from.to_owned(),
-            to: to.to_owned(),
+            from: Cow::Borrowed(from.label()),
+            to: Cow::Borrowed(to.label()),
         });
     }
 }
@@ -343,6 +502,8 @@ pub struct FancySwitch {
     /// been traced (rising edge). Only populated while tracing or
     /// metrics are enabled.
     alarmed: HashSet<(PortId, Prefix)>,
+    /// Per-session metric ids for the attached hub.
+    hot: HotMetrics,
 }
 
 impl FancySwitch {
@@ -378,6 +539,7 @@ impl FancySwitch {
             traced_reroutes: HashSet::new(),
             active_backup: HashMap::new(),
             alarmed: HashSet::new(),
+            hot: HotMetrics::default(),
         };
         for port in monitored {
             sw.upstream.insert(port, sw.make_upstream(port));
@@ -543,8 +705,8 @@ impl FancySwitch {
                 port: port as u64,
                 unit: unit_of_session(kind),
                 session: u64::from(session_id),
-                body: body.to_owned(),
-                dir: "tx".to_owned(),
+                body: Cow::Borrowed(body),
+                dir: Cow::Borrowed("tx"),
                 len: u64::from(size),
             });
         }
@@ -613,11 +775,11 @@ impl FancySwitch {
                         } else {
                             &mut up.dedicated[usize::from(kind)].fsm
                         };
-                        let before = fsm.state.name();
+                        let before = fsm.state;
                         let next = fsm.open();
-                        (before, fsm.state.name(), next)
+                        (before, fsm.state, next)
                     };
-                    trace_fsm(ctx, port, kind, "tx", before, after);
+                    trace_fsm(&mut self.hot, ctx, port, kind, before, after);
                     queue.extend(next);
                 }
                 SenderAction::LinkFailure => {
@@ -697,27 +859,24 @@ impl FancySwitch {
                     .take_session_log();
                 let node = ctx.self_id() as u64;
                 for step in steps {
-                    let (label, path, lost): (&str, &[u8], u32) = match &step {
-                        ZoomStep::Adopt { path } => ("adopt", path, 0),
-                        ZoomStep::Descend { path } => ("descend", path, 0),
-                        ZoomStep::Abandon { path } => ("abandon", path, 0),
-                        ZoomStep::Leaf { path, lost } => ("leaf", path, *lost),
-                        ZoomStep::Uniform => ("uniform", &[], 0),
+                    // `slot` indexes ZOOM_STEPS.
+                    let (slot, path, lost): (usize, &[u8], u32) = match &step {
+                        ZoomStep::Adopt { path } => (0, path, 0),
+                        ZoomStep::Descend { path } => (1, path, 0),
+                        ZoomStep::Abandon { path } => (2, path, 0),
+                        ZoomStep::Leaf { path, lost } => (3, path, *lost),
+                        ZoomStep::Uniform => (ZOOM_UNIFORM, &[], 0),
                     };
-                    if ctx.metrics_enabled() && !matches!(step, ZoomStep::Uniform) {
-                        let depth = path.len() as u64;
-                        ctx.metrics(|r| {
-                            r.observe("fancy_zoom_depth", Labels::new().with("step", label), depth);
-                        });
+                    if slot != ZOOM_UNIFORM {
+                        self.hot.zoom_depth(ctx, slot, path.len() as u64);
                     }
                     if ctx.trace_enabled() {
                         let path: Vec<u64> = path.iter().map(|&b| u64::from(b)).collect();
-                        let step = label.to_owned();
                         ctx.trace(|t| TraceEvent::ZoomStep {
                             t,
                             node,
                             port: port as u64,
-                            step,
+                            step: Cow::Borrowed(ZOOM_STEPS[slot]),
                             path,
                             lost: u64::from(lost),
                         });
@@ -770,7 +929,7 @@ impl FancySwitch {
             let up = self.upstream.get_mut(&port).unwrap();
             let entry = up.dedicated[usize::from(kind)].entry;
             let st = &mut up.damp[usize::from(kind)];
-            let action: Option<&'static str> = match st.phase {
+            let action = match st.phase {
                 DampPhase::Watch => {
                     let n = timers.suspicion_n.clamp(1, 32);
                     let mask = u32::MAX >> (32 - n);
@@ -785,7 +944,7 @@ impl FancySwitch {
                             DetectionScope::Entry(entry),
                             DetectorKind::DedicatedCounter,
                         );
-                        Some("engage")
+                        Some(RerouteAction::Engage)
                     } else {
                         None
                     }
@@ -802,7 +961,7 @@ impl FancySwitch {
                         // primary again by clearing the flag.
                         up.flags.clear(kind);
                         st.phase = DampPhase::Probation(now);
-                        Some("probe")
+                        Some(RerouteAction::Probe)
                     } else {
                         None
                     }
@@ -818,13 +977,13 @@ impl FancySwitch {
                             DetectionScope::Entry(entry),
                             DetectorKind::DedicatedCounter,
                         );
-                        Some("retrip")
+                        Some(RerouteAction::Retrip)
                     } else if now.saturating_since(since) >= timers.probation {
                         // Probation served clean: the primary is healthy
                         // again for good.
                         st.history = 0;
                         st.phase = DampPhase::Watch;
-                        Some("restore")
+                        Some(RerouteAction::Restore)
                     } else {
                         None
                     }
@@ -833,14 +992,7 @@ impl FancySwitch {
             (action, entry)
         };
         let Some(action) = action else { return };
-        if ctx.metrics_enabled() {
-            ctx.metrics(|r| {
-                r.inc(
-                    "fancy_reroute_transitions",
-                    Labels::new().with("action", action),
-                );
-            });
-        }
+        self.hot.reroute(ctx, action);
         if ctx.trace_enabled() {
             let node = ctx.self_id() as u64;
             let entry = u64::from(entry.0);
@@ -849,7 +1001,7 @@ impl FancySwitch {
                 node,
                 entry,
                 primary: port as u64,
-                action: action.to_owned(),
+                action: Cow::Borrowed(action.name()),
             });
         }
     }
@@ -965,8 +1117,8 @@ impl FancySwitch {
                 port: port as u64,
                 unit: unit_of(kind),
                 session,
-                body: body.to_owned(),
-                dir: "rx".to_owned(),
+                body: Cow::Borrowed(body),
+                dir: Cow::Borrowed("rx"),
                 len,
             });
         }
@@ -981,11 +1133,11 @@ impl FancySwitch {
                     } else {
                         &mut down.dedicated[usize::from(kind)].fsm
                     };
-                    let before = fsm.state.name();
+                    let before = fsm.state;
                     let actions = fsm.on_message(msg.session_id, &msg.body);
-                    (before, fsm.state.name(), actions)
+                    (before, fsm.state, actions)
                 };
-                trace_fsm(ctx, port, kind, "rx", before, after);
+                trace_fsm(&mut self.hot, ctx, port, kind, before, after);
                 self.drive_receiver(ctx, port, kind, actions);
             }
             ControlBody::StartAck | ControlBody::Report(_) => {
@@ -993,18 +1145,18 @@ impl FancySwitch {
                     return; // reply on a port we do not monitor: ignore
                 };
                 let (before, after, actions) = if kind == KIND_TREE {
-                    let before = up.tree_fsm.state.name();
+                    let before = up.tree_fsm.state;
                     let actions = up.tree_fsm.on_message(msg.session_id, &msg.body);
-                    (before, up.tree_fsm.state.name(), actions)
+                    (before, up.tree_fsm.state, actions)
                 } else if usize::from(kind) < up.dedicated.len() {
                     let fsm = &mut up.dedicated[usize::from(kind)].fsm;
-                    let before = fsm.state.name();
+                    let before = fsm.state;
                     let actions = fsm.on_message(msg.session_id, &msg.body);
-                    (before, fsm.state.name(), actions)
+                    (before, fsm.state, actions)
                 } else {
-                    ("idle", "idle", Vec::new())
+                    (SenderState::Idle, SenderState::Idle, Vec::new())
                 };
-                trace_fsm(ctx, port, kind, "tx", before, after);
+                trace_fsm(&mut self.hot, ctx, port, kind, before, after);
                 self.drive_sender(ctx, port, kind, actions);
             }
         }
@@ -1024,10 +1176,10 @@ impl FancySwitch {
                 if let Some(d) = down.dedicated.get_mut(usize::from(counter_id)) {
                     if d.fsm.accepts_counts() {
                         d.count = d.count.wrapping_add(1);
-                        let before = d.fsm.state.name();
+                        let before = d.fsm.state;
                         d.fsm.on_tagged_packet();
-                        let after = d.fsm.state.name();
-                        trace_fsm(ctx, port, counter_id, "rx", before, after);
+                        let after = d.fsm.state;
+                        trace_fsm(&mut self.hot, ctx, port, counter_id, before, after);
                     }
                 }
             }
@@ -1039,10 +1191,10 @@ impl FancySwitch {
                         if i < t.counters.len() {
                             t.counters[i] = t.counters[i].wrapping_add(1);
                         }
-                        let before = t.fsm.state.name();
+                        let before = t.fsm.state;
                         t.fsm.on_tagged_packet();
-                        let after = t.fsm.state.name();
-                        trace_fsm(ctx, port, KIND_TREE, "rx", before, after);
+                        let after = t.fsm.state;
+                        trace_fsm(&mut self.hot, ctx, port, KIND_TREE, before, after);
                     }
                 }
             }
@@ -1089,20 +1241,20 @@ impl Node for FancySwitch {
             for id in 0..n {
                 let (before, after, actions) = {
                     let fsm = &mut self.upstream.get_mut(&port).unwrap().dedicated[id].fsm;
-                    let before = fsm.state.name();
+                    let before = fsm.state;
                     let actions = fsm.open();
-                    (before, fsm.state.name(), actions)
+                    (before, fsm.state, actions)
                 };
-                trace_fsm(ctx, port, id as u16, "tx", before, after);
+                trace_fsm(&mut self.hot, ctx, port, id as u16, before, after);
                 self.drive_sender(ctx, port, id as u16, actions);
             }
             let (before, after, actions) = {
                 let fsm = &mut self.upstream.get_mut(&port).unwrap().tree_fsm;
-                let before = fsm.state.name();
+                let before = fsm.state;
                 let actions = fsm.open();
-                (before, fsm.state.name(), actions)
+                (before, fsm.state, actions)
             };
-            trace_fsm(ctx, port, KIND_TREE, "tx", before, after);
+            trace_fsm(&mut self.hot, ctx, port, KIND_TREE, before, after);
             self.drive_sender(ctx, port, KIND_TREE, actions);
         }
     }
@@ -1169,14 +1321,7 @@ impl Node for FancySwitch {
                 {
                     let node = ctx.self_id() as u64;
                     let entry = u64::from(pkt_entry.0);
-                    if ctx.metrics_enabled() {
-                        ctx.metrics(|r| {
-                            r.inc(
-                                "fancy_reroute_transitions",
-                                Labels::new().with("action", "alarm"),
-                            );
-                        });
-                    }
+                    self.hot.reroute(ctx, RerouteAction::Alarm);
                     if ctx.trace_enabled() {
                         let primary = out as u64;
                         ctx.trace(|t| TraceEvent::BackupAlarm {
@@ -1213,14 +1358,7 @@ impl Node for FancySwitch {
             let prev = self.active_backup.insert((out, pkt_entry), backup);
             if let Some(from) = prev.filter(|&p| p != backup) {
                 self.stats.failovers += 1;
-                if ctx.metrics_enabled() {
-                    ctx.metrics(|r| {
-                        r.inc(
-                            "fancy_reroute_transitions",
-                            Labels::new().with("action", "failover"),
-                        );
-                    });
-                }
+                self.hot.reroute(ctx, RerouteAction::Failover);
                 if ctx.trace_enabled() {
                     let node = ctx.self_id() as u64;
                     let entry = u64::from(pkt_entry.0);
@@ -1310,11 +1448,11 @@ impl Node for FancySwitch {
                 } else {
                     &mut up.dedicated[usize::from(kind)].fsm
                 };
-                let before = fsm.state.name();
+                let before = fsm.state;
                 let actions = fsm.on_timer(epoch);
-                (before, fsm.state.name(), actions)
+                (before, fsm.state, actions)
             };
-            trace_fsm(ctx, port, kind, "tx", before, after);
+            trace_fsm(&mut self.hot, ctx, port, kind, before, after);
             self.drive_sender(ctx, port, kind, actions);
         } else {
             let Some(down) = self.downstream.get_mut(&port) else {
@@ -1323,19 +1461,19 @@ impl Node for FancySwitch {
             let (before, after, actions) = if kind == KIND_TREE {
                 match down.tree.as_mut() {
                     Some(t) => {
-                        let before = t.fsm.state.name();
+                        let before = t.fsm.state;
                         let actions = t.fsm.on_timer(epoch);
-                        (before, t.fsm.state.name(), actions)
+                        (before, t.fsm.state, actions)
                     }
-                    None => ("idle", "idle", Vec::new()),
+                    None => (ReceiverState::Idle, ReceiverState::Idle, Vec::new()),
                 }
             } else {
                 let fsm = &mut down.dedicated[usize::from(kind)].fsm;
-                let before = fsm.state.name();
+                let before = fsm.state;
                 let actions = fsm.on_timer(epoch);
-                (before, fsm.state.name(), actions)
+                (before, fsm.state, actions)
             };
-            trace_fsm(ctx, port, kind, "rx", before, after);
+            trace_fsm(&mut self.hot, ctx, port, kind, before, after);
             self.drive_receiver(ctx, port, kind, actions);
         }
     }

@@ -3,7 +3,9 @@
 //! Nodes interact with the world exclusively through `&mut Kernel` — it is
 //! the `ctx` handle passed to every [`crate::node::Node`] callback.
 
-use fancy_metrics::{Labels, MetricsHub, Registry};
+use std::borrow::Cow;
+
+use fancy_metrics::{Labels, MetricId, MetricsHub, Registry};
 use fancy_trace::{DropCause, TraceEvent, TraceSink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -180,6 +182,25 @@ impl Kernel {
     pub fn metrics(&mut self, f: impl FnOnce(&mut Registry)) {
         if let Some(hub) = self.metrics.as_ref() {
             hub.with(f);
+        }
+    }
+
+    /// Add `delta` to the counter behind `id` (resolved against the
+    /// attached hub, e.g. through a [`HubIds`](fancy_metrics::HubIds)
+    /// cache). One branch when no hub is attached.
+    #[inline]
+    pub fn metric_add(&mut self, id: MetricId, delta: u64) {
+        if let Some(hub) = self.metrics.as_ref() {
+            hub.with(|r| r.add_id(id, delta));
+        }
+    }
+
+    /// Record `v` in the histogram behind `id`. One branch when no hub is
+    /// attached.
+    #[inline]
+    pub fn metric_observe(&mut self, id: MetricId, v: u64) {
+        if let Some(hub) = self.metrics.as_ref() {
+            hub.with(|r| r.observe_id(id, v));
         }
     }
 
@@ -461,7 +482,7 @@ impl Kernel {
                     t: when.as_nanos(),
                     link: adm.link as u64,
                     dir: adm.dir as u64,
-                    action: "drop".to_owned(),
+                    action: Cow::Borrowed("drop"),
                     uid,
                     control: u64::from(is_control),
                 });
@@ -545,7 +566,7 @@ impl Kernel {
                     t: when.as_nanos(),
                     link: adm.link as u64,
                     dir: adm.dir as u64,
-                    action: "dup".to_owned(),
+                    action: Cow::Borrowed("dup"),
                     uid,
                     control: u64::from(is_control),
                 });
@@ -563,7 +584,7 @@ impl Kernel {
                         t: when.as_nanos(),
                         link: adm.link as u64,
                         dir: adm.dir as u64,
-                        action: "reorder".to_owned(),
+                        action: Cow::Borrowed("reorder"),
                         uid,
                         control: u64::from(is_control),
                     });
@@ -701,18 +722,18 @@ impl Kernel {
                 DetectionScope::LinkDown => ("link_down", None, Vec::new()),
             };
             let detector_name = match detector {
-                DetectorKind::DedicatedCounter => "dedicated".to_owned(),
-                DetectorKind::HashTree => "tree".to_owned(),
-                DetectorKind::UniformCheck => "uniform".to_owned(),
-                DetectorKind::ProtocolTimeout => "timeout".to_owned(),
-                DetectorKind::Baseline(name) => format!("baseline:{name}"),
+                DetectorKind::DedicatedCounter => Cow::Borrowed("dedicated"),
+                DetectorKind::HashTree => Cow::Borrowed("tree"),
+                DetectorKind::UniformCheck => Cow::Borrowed("uniform"),
+                DetectorKind::ProtocolTimeout => Cow::Borrowed("timeout"),
+                DetectorKind::Baseline(name) => Cow::Owned(format!("baseline:{name}")),
             };
             self.trace(|t| TraceEvent::Detection {
                 t,
                 node,
                 port: port as u64,
                 detector: detector_name,
-                scope: scope_name.to_owned(),
+                scope: Cow::Borrowed(scope_name),
                 entry,
                 path,
             });

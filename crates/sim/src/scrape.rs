@@ -17,6 +17,7 @@
 
 use std::any::Any;
 
+use fancy_metrics::{HubIds, Kind, Labels, MetricId, Registry};
 use fancy_trace::TraceEvent;
 
 use crate::event::{PortId, TimerToken};
@@ -38,6 +39,8 @@ pub struct ScrapeNode {
     interval: SimDuration,
     /// Scrapes completed so far (the `seq` of the next `Scrape` event).
     pub scrapes: u64,
+    /// `fancy_kernel_*` gauge ids, in `TelemetryCounters::to_pairs` order.
+    ids: HubIds<Vec<MetricId>>,
 }
 
 impl ScrapeNode {
@@ -50,6 +53,7 @@ impl ScrapeNode {
         ScrapeNode {
             interval,
             scrapes: 0,
+            ids: HubIds::default(),
         }
     }
 
@@ -74,13 +78,22 @@ impl ScrapeNode {
         // snapshot carries event-loop/pool/wheel state alongside the
         // protocol metrics. Gauges use plain `set`: within one run the
         // counters are monotone, and the cross-cell merge rule (max)
-        // keeps high-water semantics.
+        // keeps high-water semantics. The gauge ids are resolved once per
+        // attached hub, so a scrape builds no metric names.
         let pairs = ctx.telemetry.to_pairs();
-        ctx.metrics(|r| {
-            for (name, v) in pairs {
-                r.gauge_set(&format!("fancy_kernel_{name}"), Default::default(), v);
-            }
-        });
+        let resolve = |r: &mut Registry| {
+            pairs
+                .iter()
+                .map(|(name, _)| r.id(&format!("fancy_kernel_{name}"), &Labels::new(), Kind::Gauge))
+                .collect::<Vec<MetricId>>()
+        };
+        if let Some(ids) = self.ids.get(ctx.metrics_hub(), resolve) {
+            ctx.metrics(|r| {
+                for (&id, (_, v)) in ids.iter().zip(pairs) {
+                    r.gauge_set_id(id, v);
+                }
+            });
+        }
         let samples = match ctx.metrics_hub() {
             Some(hub) => hub.record_scrape(ctx.now().as_nanos()),
             None => 0,
@@ -123,7 +136,7 @@ mod tests {
     use super::*;
     use crate::network::Network;
     use crate::time::SimTime;
-    use fancy_metrics::{Labels, MetricsHub};
+    use fancy_metrics::MetricsHub;
 
     #[test]
     fn scrapes_at_the_configured_cadence() {

@@ -18,6 +18,8 @@
 //! by the `trace-report` CI smoke step), which is what makes "fails on
 //! schema drift" enforceable.
 
+use std::borrow::Cow;
+
 use crate::json::{parse_object, JsonError, JsonValue, ObjectWriter};
 
 /// Why a packet died.
@@ -112,13 +114,13 @@ pub enum TraceEvent {
         /// Port whose FSM moved.
         port: u64,
         /// `"tx"` (sender FSM) or `"rx"` (receiver FSM).
-        role: String,
+        role: Cow<'static, str>,
         /// Counting unit: dedicated counter id, or [`UNIT_TREE`].
         unit: u64,
         /// State before.
-        from: String,
+        from: Cow<'static, str>,
         /// State after.
-        to: String,
+        to: Cow<'static, str>,
     },
     /// A counting-protocol message was sent or received.
     CounterExchange {
@@ -133,9 +135,9 @@ pub enum TraceEvent {
         /// Session id the message belongs to.
         session: u64,
         /// `"start"`, `"start_ack"`, `"stop"`, or `"report"`.
-        body: String,
+        body: Cow<'static, str>,
         /// `"tx"` or `"rx"` from this node's perspective.
-        dir: String,
+        dir: Cow<'static, str>,
         /// Message payload length in bytes.
         len: u64,
     },
@@ -148,7 +150,7 @@ pub enum TraceEvent {
         /// Port being zoomed.
         port: u64,
         /// `"adopt"`, `"descend"`, `"abandon"`, `"leaf"`, or `"uniform"`.
-        step: String,
+        step: Cow<'static, str>,
         /// Hash path the step concerns (empty for `uniform`).
         path: Vec<u64>,
         /// Lost-packet count that justified the step, when one did.
@@ -164,9 +166,9 @@ pub enum TraceEvent {
         port: u64,
         /// Detector name (`"dedicated"`, `"tree"`, `"uniform"`,
         /// `"timeout"`, or `"baseline:<name>"`).
-        detector: String,
+        detector: Cow<'static, str>,
         /// Scope name (`"entry"`, `"path"`, `"uniform"`, `"link_down"`).
-        scope: String,
+        scope: Cow<'static, str>,
         /// Implicated entry, for entry-scoped detections.
         entry: Option<u64>,
         /// Implicated hash path, for path-scoped detections.
@@ -219,7 +221,7 @@ pub enum TraceEvent {
         /// Protected primary egress port.
         primary: u64,
         /// Transition name (see above).
-        action: String,
+        action: Cow<'static, str>,
     },
     /// Every ranked backup alternate for a rerouted entry is unhealthy:
     /// the switch degraded to drop-and-alarm (rising edge per entry).
@@ -281,7 +283,7 @@ pub enum TraceEvent {
         /// Suffering port.
         port: u64,
         /// Initial severity (`"entry_loss"`, `"uniform_loss"`, `"link_down"`).
-        severity: String,
+        severity: Cow<'static, str>,
     },
     /// The incident tracker cleared an incident after silence.
     IncidentClear {
@@ -305,7 +307,7 @@ pub enum TraceEvent {
         /// Direction on the link.
         dir: u64,
         /// `"drop"`, `"dup"`, or `"reorder"`.
-        action: String,
+        action: Cow<'static, str>,
         /// Kernel-unique packet id.
         uid: u64,
         /// 1 when the packet is control traffic (FANcY/NetSeer), else 0.
@@ -755,10 +757,10 @@ impl TraceEvent {
                 t,
                 node: f.u64("node")?,
                 port: f.u64("port")?,
-                role: f.str("role")?,
+                role: f.str("role")?.into(),
                 unit: f.u64("unit")?,
-                from: f.str("from")?,
-                to: f.str("to")?,
+                from: f.str("from")?.into(),
+                to: f.str("to")?.into(),
             },
             "ctrl" => TraceEvent::CounterExchange {
                 t,
@@ -766,15 +768,15 @@ impl TraceEvent {
                 port: f.u64("port")?,
                 unit: f.u64("unit")?,
                 session: f.u64("session")?,
-                body: f.str("body")?,
-                dir: f.str("dir")?,
+                body: f.str("body")?.into(),
+                dir: f.str("dir")?.into(),
                 len: f.u64("len")?,
             },
             "zoom" => TraceEvent::ZoomStep {
                 t,
                 node: f.u64("node")?,
                 port: f.u64("port")?,
-                step: f.str("step")?,
+                step: f.str("step")?.into(),
                 path: f.arr("path")?,
                 lost: f.u64("lost")?,
             },
@@ -782,8 +784,8 @@ impl TraceEvent {
                 t,
                 node: f.u64("node")?,
                 port: f.u64("port")?,
-                detector: f.str("detector")?,
-                scope: f.str("scope")?,
+                detector: f.str("detector")?.into(),
+                scope: f.str("scope")?.into(),
                 entry: f.opt_u64("entry")?,
                 path: match f.get("path") {
                     None => Vec::new(),
@@ -811,7 +813,7 @@ impl TraceEvent {
                 node: f.u64("node")?,
                 entry: f.u64("entry")?,
                 primary: f.u64("primary")?,
-                action: f.str("action")?,
+                action: f.str("action")?.into(),
             },
             "alarm" => TraceEvent::BackupAlarm {
                 t,
@@ -844,7 +846,7 @@ impl TraceEvent {
                 t,
                 node: f.u64("node")?,
                 port: f.u64("port")?,
-                severity: f.str("severity")?,
+                severity: f.str("severity")?.into(),
             },
             "incident_clear" => TraceEvent::IncidentClear {
                 t,
@@ -856,7 +858,7 @@ impl TraceEvent {
                 t,
                 link: f.u64("link")?,
                 dir: f.u64("dir")?,
-                action: f.str("action")?,
+                action: f.str("action")?.into(),
                 uid: f.u64("uid")?,
                 control: f.u64("control")?,
             },
