@@ -125,6 +125,12 @@ for f in rows-cold.jsonl rows-warm8.jsonl; do
     cmp "$SHARD_DUMP_DIR/rows-inproc.jsonl" "$SHARD_DUMP_DIR/$f" \
         || { echo "trace gate: $f differs from the in-process rows"; exit 1; }
 done
+# The in-process rows are also pinned across commits: the committed
+# golden is the bit-exact dump of this smoke sweep (hash-tree zooming
+# over many TCP flows), so a change to any simulated byte on the
+# Table 3 path fails here even when all three paths agree.
+cmp tests/golden/table3_smoke_rows.jsonl "$SHARD_DUMP_DIR/rows-inproc.jsonl" \
+    || { echo "trace gate: in-process rows differ from tests/golden/table3_smoke_rows.jsonl"; exit 1; }
 cargo test -q --release -p fancy-bench --test trace_pipeline
 cargo test -q --release -p fancy-traffic --test events_roundtrip
 

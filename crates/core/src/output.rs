@@ -11,7 +11,9 @@
 //! These structures are what data-plane applications (e.g. the fast-reroute
 //! app, §6.1) consult at line rate for every forwarded packet.
 
-use fancy_net::seeded_hash;
+use fancy_net::{seeded_hash, Prefix};
+
+use crate::tree::TreeHasher;
 
 /// Number of cells per Bloom-filter register in the Tofino prototype
 /// (Appendix B.2: "two 1-bit registers of 100 K cells").
@@ -105,18 +107,31 @@ impl OutputBloom {
         OutputBloom::new(BLOOM_CELLS, seed)
     }
 
-    fn cell(&self, reg: usize, path: &[u8]) -> usize {
-        let mut key = 0u64;
-        for &b in path {
-            key = key.wrapping_mul(257).wrapping_add(u64::from(b) + 1);
-        }
+    /// Fold one more path index into a path's cell key.
+    fn fold(key: u64, index: u8) -> u64 {
+        key.wrapping_mul(257).wrapping_add(u64::from(index) + 1)
+    }
+
+    fn path_key(path: &[u8]) -> u64 {
+        path.iter().fold(0, |k, &i| Self::fold(k, i))
+    }
+
+    fn cell(&self, reg: usize, key: u64) -> usize {
         seeded_hash(self.seed ^ ((reg as u64) << 32), key, self.cells as u64) as usize
+    }
+
+    fn contains_key(&self, key: u64) -> bool {
+        (0..2).all(|reg| {
+            let c = self.cell(reg, key);
+            self.regs[reg][c / 64] & (1 << (c % 64)) != 0
+        })
     }
 
     /// Insert a failed hash path.
     pub fn insert(&mut self, path: &[u8]) {
+        let key = Self::path_key(path);
         for reg in 0..2 {
-            let c = self.cell(reg, path);
+            let c = self.cell(reg, key);
             self.regs[reg][c / 64] |= 1 << (c % 64);
         }
         self.insertions += 1;
@@ -124,10 +139,15 @@ impl OutputBloom {
 
     /// Does `path` test positive?
     pub fn contains(&self, path: &[u8]) -> bool {
-        (0..2).all(|reg| {
-            let c = self.cell(reg, path);
-            self.regs[reg][c / 64] & (1 << (c % 64)) != 0
-        })
+        self.contains_key(Self::path_key(path))
+    }
+
+    /// Does `entry`'s full hash path under `hasher` test positive? Equal to
+    /// `contains(&hasher.hash_path(entry))` without collecting the path:
+    /// this is the per-packet query of the reroute check.
+    pub fn contains_entry(&self, hasher: &TreeHasher, entry: Prefix) -> bool {
+        let depth = hasher.params().depth;
+        self.contains_key((0..depth).fold(0, |k, l| Self::fold(k, hasher.index(l, entry))))
     }
 
     /// Clear the filter (failure repaired / entries re-validated).
@@ -204,6 +224,26 @@ mod tests {
         // With 100 insertions in 100 K cells and 2 registers, the FP
         // probability is ≈ (100/100000)² = 1e-6; allow generous slack.
         assert!(fps < 5, "too many false positives: {fps}");
+    }
+
+    #[test]
+    fn contains_entry_matches_contains_of_the_collected_path() {
+        use crate::tree::TreeParams;
+        let hasher = TreeHasher::new(TreeParams::paper_default(), 0x5EED);
+        let mut b = OutputBloom::new(2000, 9);
+        // Inserted full paths plus a partial one, so both answers occur.
+        for e in (0..10_000u32).step_by(97) {
+            b.insert(&hasher.hash_path(Prefix(e)));
+        }
+        b.insert(&hasher.hash_path(Prefix(1))[..1]);
+        let mut positives = 0;
+        for e in (0..10_000u32).map(Prefix) {
+            let want = b.contains(&hasher.hash_path(e));
+            assert_eq!(b.contains_entry(&hasher, e), want, "{e:?}");
+            positives += usize::from(want);
+        }
+        assert!(positives >= 104, "every inserted entry must test positive");
+        assert!(positives < 10_000, "the filter must not be saturated");
     }
 
     #[test]

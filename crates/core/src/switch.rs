@@ -16,9 +16,8 @@
 
 use std::any::Any;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 
-use fancy_net::{ControlBody, ControlMessage, FancyTag, Prefix, SessionKind};
+use fancy_net::{ControlBody, ControlMessage, FancyTag, FastMap, FastSet, Prefix, SessionKind};
 use fancy_sim::metrics::{HubIds, Kind, Labels, MetricId, Registry};
 use fancy_sim::{
     DetectionScope, DetectorKind, DropCause, Kernel, Node, PacketKind, PacketRef, PortId,
@@ -292,18 +291,18 @@ fn trace_fsm<S: FsmState>(
 #[derive(Debug, Clone, Default)]
 pub struct Reroute {
     /// `primary egress port → backup egress port`.
-    pub backup: HashMap<PortId, PortId>,
+    pub backup: FastMap<PortId, PortId>,
     /// `(primary egress port, entry) → ranked backup ports` (best first),
     /// consulted before the port-level default.
-    pub entry_backup: HashMap<(PortId, Prefix), Vec<PortId>>,
+    pub entry_backup: FastMap<(PortId, Prefix), Vec<PortId>>,
 }
 
 impl Reroute {
     /// A port-level-only table (the §6.1 case-study shape).
-    pub fn port_level(backup: HashMap<PortId, PortId>) -> Self {
+    pub fn port_level(backup: FastMap<PortId, PortId>) -> Self {
         Reroute {
             backup,
-            entry_backup: HashMap::new(),
+            entry_backup: FastMap::default(),
         }
     }
 
@@ -428,6 +427,8 @@ struct UpstreamPort {
     bloom: OutputBloom,
     /// Last time a watched queue was seen congested (congestion guard).
     last_congested: Option<fancy_sim::SimTime>,
+    /// Session comparisons on this port discarded by the congestion guard.
+    discarded: u64,
     /// Latched link-down state: set on the first protocol timeout, cleared
     /// when any session on the port completes again. Keeps LinkDown
     /// reports rising-edge like the other output registers.
@@ -467,16 +468,16 @@ pub struct FancySwitch {
     /// Forwarding table.
     pub fib: fancy_sim::Fib,
     layout: FancyLayout,
-    dedicated_index: HashMap<Prefix, u16>,
+    dedicated_index: FastMap<Prefix, u16>,
     seed: u64,
     monitored: Vec<PortId>,
-    upstream: HashMap<PortId, UpstreamPort>,
-    downstream: HashMap<PortId, DownstreamPort>,
+    upstream: FastMap<PortId, UpstreamPort>,
+    downstream: FastMap<PortId, DownstreamPort>,
     /// Fast-reroute table; `None` disables rerouting.
     pub reroute: Option<Reroute>,
     /// Congestion guards per monitored port (footnote 2; partial
     /// deployments).
-    pub guards: HashMap<PortId, CongestionGuard>,
+    pub guards: FastMap<PortId, CongestionGuard>,
     /// This switch's own address, used as the source of control messages
     /// so they can be routed back across legacy hops (partial deployment,
     /// §4.3). 0 works for adjacent deployments.
@@ -485,23 +486,23 @@ pub struct FancySwitch {
     /// adjacent switches the default 0 is consumed at the next hop; for
     /// remote (partial) deployment set it to the peer FANcY switch's
     /// address so legacy switches in between can route it.
-    pub control_dst: HashMap<PortId, u32>,
+    pub control_dst: FastMap<PortId, u32>,
     /// Aggregate statistics.
     pub stats: SwitchStats,
     /// `(primary port, entry)` pairs whose reroute has been traced, so
     /// the flight recorder sees one rising-edge event per reroute, not
     /// one per packet. Only populated while tracing is enabled.
-    traced_reroutes: HashSet<(PortId, Prefix)>,
+    traced_reroutes: FastSet<(PortId, Prefix)>,
     /// `(primary port, entry) → backup port currently in use` — the
     /// active alternate of the failover cascade, tracked so a cascade
     /// step is visible as one explicit Failover event (a state change),
     /// not per-packet noise. Always maintained: `stats.failovers` must
     /// not depend on whether tracing or metrics are on.
-    active_backup: HashMap<(PortId, Prefix), PortId>,
+    active_backup: FastMap<(PortId, Prefix), PortId>,
     /// `(primary port, entry)` pairs whose exhausted-cascade alarm has
     /// been traced (rising edge). Only populated while tracing or
     /// metrics are enabled.
-    alarmed: HashSet<(PortId, Prefix)>,
+    alarmed: FastSet<(PortId, Prefix)>,
     /// Per-session metric ids for the attached hub.
     hot: HotMetrics,
 }
@@ -529,16 +530,16 @@ impl FancySwitch {
             dedicated_index,
             seed,
             monitored: monitored.clone(),
-            upstream: HashMap::new(),
-            downstream: HashMap::new(),
+            upstream: FastMap::default(),
+            downstream: FastMap::default(),
             reroute: None,
-            guards: HashMap::new(),
+            guards: FastMap::default(),
             addr: 0,
-            control_dst: HashMap::new(),
+            control_dst: FastMap::default(),
             stats: SwitchStats::default(),
-            traced_reroutes: HashSet::new(),
-            active_backup: HashMap::new(),
-            alarmed: HashSet::new(),
+            traced_reroutes: FastSet::default(),
+            active_backup: FastMap::default(),
+            alarmed: FastSet::default(),
             hot: HotMetrics::default(),
         };
         for port in monitored {
@@ -571,6 +572,7 @@ impl FancySwitch {
             flags: FlagArray::new(self.layout.high_priority.len()),
             bloom: OutputBloom::tofino_default(self.seed ^ 0xB100),
             last_congested: None,
+            discarded: 0,
             link_down: false,
             degraded: false,
             port_level_count: 0,
@@ -596,7 +598,7 @@ impl FancySwitch {
     /// Does `port`'s output Bloom filter flag this entry's hash path?
     pub fn tree_flags_entry(&self, port: PortId, entry: Prefix) -> bool {
         let up = &self.upstream[&port];
-        up.bloom.contains(&up.zoom.hasher().hash_path(entry))
+        up.bloom.contains_entry(up.zoom.hasher(), entry)
     }
 
     /// Completed counting sessions on `port` (dedicated, tree).
@@ -606,6 +608,11 @@ impl FancySwitch {
             up.dedicated.iter().map(|d| d.fsm.sessions_completed).sum(),
             up.tree_fsm.sessions_completed,
         )
+    }
+
+    /// Session comparisons on `port` discarded by its congestion guard.
+    pub fn discarded_sessions(&self, port: PortId) -> u64 {
+        self.upstream.get(&port).map_or(0, |u| u.discarded)
     }
 
     /// Is the port currently latched link-down (protocol timeouts and no
@@ -640,7 +647,7 @@ impl FancySwitch {
         if let Some(&id) = self.dedicated_index.get(&entry) {
             up.flags.get(id)
         } else {
-            up.bloom.contains(&up.zoom.hasher().hash_path(entry))
+            up.bloom.contains_entry(up.zoom.hasher(), entry)
         }
     }
 
@@ -658,7 +665,7 @@ impl FancySwitch {
         if let Some(&id) = self.dedicated_index.get(&entry) {
             !up.flags.get(id)
         } else {
-            !up.bloom.contains(&up.zoom.hasher().hash_path(entry))
+            !up.bloom.contains_entry(up.zoom.hasher(), entry)
         }
     }
 
@@ -829,10 +836,14 @@ impl FancySwitch {
             // were excessively long — a mismatch here could be congestion
             // on an unmonitored hop, not a gray failure.
             self.stats.discarded_sessions += 1;
+            let up = self
+                .upstream
+                .get_mut(&port)
+                .expect("only a monitored port can be tainted");
+            up.discarded += 1;
             if kind == KIND_TREE {
                 // Keep the zooming state consistent: treat as a clean
                 // session so stale paths are abandoned, not advanced.
-                let up = self.upstream.get_mut(&port).unwrap();
                 let local = up.zoom.local_report();
                 let _ = up.zoom.end_session(&local);
             }
@@ -1203,8 +1214,6 @@ impl FancySwitch {
 
     /// Egress counting/tagging of an admitted packet.
     fn egress_count(&mut self, ctx: &mut Kernel, out: PortId, pkt: PacketRef) {
-        let entry = ctx.pkt(pkt).entry();
-        let dedicated_id = self.dedicated_index.get(&entry).copied();
         let Some(up) = self.upstream.get_mut(&out) else {
             return;
         };
@@ -1214,7 +1223,8 @@ impl FancySwitch {
             up.port_level_count = up.port_level_count.wrapping_add(1);
             return;
         }
-        if let Some(id) = dedicated_id {
+        let entry = ctx.pkt(pkt).entry();
+        if let Some(&id) = self.dedicated_index.get(&entry) {
             let d = &mut up.dedicated[usize::from(id)];
             if d.fsm.is_counting() {
                 d.count = d.count.wrapping_add(1);
@@ -1230,8 +1240,12 @@ impl FancySwitch {
 
 impl Node for FancySwitch {
     fn on_start(&mut self, ctx: &mut Kernel) {
-        // Congestion-guard telemetry polls.
-        for (&port, guard) in &self.guards {
+        // Congestion-guard telemetry polls, armed in ascending port order:
+        // guards with equal windows fire at one instant, and the first to
+        // poll a shared watched link takes (and resets) its backlog mark.
+        let mut guards: Vec<_> = self.guards.iter().collect();
+        guards.sort_unstable_by_key(|&(&port, _)| port);
+        for (&port, guard) in guards {
             ctx.schedule_timer(guard.window, make_token(ROLE_SENDER, port, KIND_GUARD, 0));
         }
         // Open the first counting session on every monitored port, for every
@@ -1819,7 +1833,7 @@ mod tests {
         // Traffic keeps flowing after the reroute: the receiver saw packets
         // well after the failure time.
         let rxh: &ReceiverHost = net.node(rx);
-        assert!(rxh.entry_bytes[&entry] > 0);
+        assert!(rxh.entry_bytes(entry) > 0);
         let det = net.kernel.records.first_entry_detection(entry).unwrap();
         assert!(
             det.time.duration_since(fail_at) < SimDuration::from_millis(1000),
@@ -1899,7 +1913,7 @@ mod tests {
         assert_eq!(sw.stats.alarm_drops, 0);
         // Traffic survived the double failure end to end.
         let rxh: &ReceiverHost = net.node(rx);
-        assert!(rxh.entry_bytes[&entry] > 0);
+        assert!(rxh.entry_bytes(entry) > 0);
     }
 
     #[test]
@@ -1991,7 +2005,7 @@ mod tests {
         assert!(sw.stats.rerouted_packets > 0);
         // And traffic flowed end to end throughout.
         let rxh: &ReceiverHost = net.node(rx);
-        assert!(rxh.entry_bytes[&entry] > 0);
+        assert!(rxh.entry_bytes(entry) > 0);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 pub mod control;
 pub mod error;
+pub mod hash;
 pub mod ipv4;
 pub mod prefix;
 pub mod segment;
@@ -28,6 +29,7 @@ pub mod tag;
 
 pub use control::{ControlBody, ControlKind, ControlMessage, SessionKind};
 pub use error::ParseError;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use ipv4::Ipv4Header;
 pub use prefix::Prefix;
 pub use segment::Segment;

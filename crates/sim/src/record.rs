@@ -9,9 +9,7 @@
 //! * **detections** — what the detectors running inside switches reported,
 //!   pushed through [`crate::kernel::Kernel::report`].
 
-use std::collections::HashMap;
-
-use fancy_net::Prefix;
+use fancy_net::{FastMap, Prefix};
 
 use crate::event::{NodeId, PortId};
 use crate::time::SimTime;
@@ -120,11 +118,11 @@ pub struct Records {
     /// Detections reported by in-switch detectors.
     pub detections: Vec<DetectionRecord>,
     /// Ground truth: gray drops per entry.
-    pub gray_drops: HashMap<Prefix, DropStats>,
+    pub gray_drops: FastMap<Prefix, DropStats>,
     /// Individual gray-drop timestamps per entry, kept only when
     /// `log_drop_times` is set (some analyses need e.g. "were packets
     /// dropped in three consecutive counting sessions").
-    pub drop_times: HashMap<Prefix, Vec<SimTime>>,
+    pub drop_times: FastMap<Prefix, Vec<SimTime>>,
     /// Whether to keep `drop_times` (costs memory on long runs).
     pub log_drop_times: bool,
     /// Total congestion (traffic-manager) drops — never gray failures.

@@ -7,9 +7,8 @@
 //! case study (§6.1), where failures are injected on an intermediate device.
 
 use std::any::Any;
-use std::collections::HashMap;
 
-use fancy_net::Prefix;
+use fancy_net::{FastMap, Prefix};
 
 use crate::event::PortId;
 use crate::kernel::Kernel;
@@ -19,7 +18,7 @@ use crate::pool::PacketRef;
 /// A destination-prefix forwarding table.
 #[derive(Debug, Clone, Default)]
 pub struct Fib {
-    routes: HashMap<Prefix, PortId>,
+    routes: FastMap<Prefix, PortId>,
     default_port: Option<PortId>,
 }
 

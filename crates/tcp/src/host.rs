@@ -8,9 +8,9 @@
 //! destination prefixes.
 
 use std::any::Any;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use fancy_net::Prefix;
+use fancy_net::{FastMap, Prefix};
 use fancy_sim::metrics::Labels;
 use fancy_sim::{
     FlowId, Kernel, Node, PacketBuilder, PacketKind, PacketRef, PortId, SimDuration, SimTime,
@@ -65,19 +65,34 @@ pub struct SenderStats {
     pub local_congestion_drops: u64,
 }
 
+/// A started flow: its TCP state, where it sends, and whether its pace
+/// timer is armed.
+struct ActiveFlow {
+    flow: TcpFlow,
+    dst: u32,
+    pacing: bool,
+}
+
 /// A host that originates TCP flows on port 0.
 pub struct SenderHost {
     /// This host's source address.
     pub addr: u32,
-    /// Flows not yet started.
+    /// The flow schedule; a flow's id is its index here.
     pub scheduled: Vec<ScheduledFlow>,
-    flows: HashMap<FlowId, TcpFlow>,
-    dsts: HashMap<FlowId, u32>,
-    /// Flows whose pace timer is armed.
-    pacing: HashMap<FlowId, bool>,
+    /// Started flows, indexed by [`FlowId`], so per-packet state is one
+    /// bounds-checked index away.
+    active: Vec<Option<ActiveFlow>>,
     ip_id: u16,
     /// Aggregate statistics.
     pub stats: SenderStats,
+}
+
+/// Arm a flow's RTO timer at its current deadline, if any.
+fn arm_rto(ctx: &mut Kernel, flow: FlowId, deadline: Option<SimTime>) {
+    if let Some(deadline) = deadline {
+        let delay = deadline.saturating_since(ctx.now());
+        ctx.schedule_timer(delay, token(KIND_RTO, flow));
+    }
 }
 
 impl SenderHost {
@@ -86,17 +101,27 @@ impl SenderHost {
         SenderHost {
             addr,
             scheduled,
-            flows: HashMap::new(),
-            dsts: HashMap::new(),
-            pacing: HashMap::new(),
+            active: Vec::new(),
             ip_id: 0,
             stats: SenderStats::default(),
         }
     }
 
-    fn transmit(&mut self, ctx: &mut Kernel, flow: FlowId, seq: u64, retx: bool) {
-        let dst = self.dsts[&flow];
-        let size = self.flows[&flow].cfg.pkt_size;
+    /// The started flow `id`, if any; ids never started or out of range
+    /// (e.g. from a stray ACK) give `None`.
+    fn active_mut(&mut self, id: FlowId) -> Option<&mut ActiveFlow> {
+        self.active.get_mut(usize::try_from(id).ok()?)?.as_mut()
+    }
+
+    fn transmit(
+        &mut self,
+        ctx: &mut Kernel,
+        flow: FlowId,
+        dst: u32,
+        size: u32,
+        seq: u64,
+        retx: bool,
+    ) {
         self.ip_id = self.ip_id.wrapping_add(1);
         let pkt = PacketBuilder::new(
             self.addr,
@@ -115,59 +140,50 @@ impl SenderHost {
         }
     }
 
-    /// Arm the flow's RTO timer at its current deadline, if any.
-    fn arm_rto(&mut self, ctx: &mut Kernel, flow: FlowId) {
-        if let Some(deadline) = self.flows[&flow].rto_deadline {
-            let delay = deadline.saturating_since(ctx.now());
-            ctx.schedule_timer(delay, token(KIND_RTO, flow));
-        }
-    }
-
     /// Send one paced packet if the window allows, and keep pacing armed
     /// while there is new data to send.
-    fn pace(&mut self, ctx: &mut Kernel, flow: FlowId) {
-        let Some(f) = self.flows.get_mut(&flow) else {
+    fn pace(&mut self, ctx: &mut Kernel, id: FlowId) {
+        let Some(a) = self.active_mut(id) else {
             return;
         };
-        if f.done() {
-            self.pacing.insert(flow, false);
+        if a.flow.done() || !a.flow.can_send_new() {
+            // Done, or window-limited: pacing resumes from the ACK path.
+            a.pacing = false;
             return;
         }
-        if f.can_send_new() {
-            let now = ctx.now();
-            if let FlowAction::Send { seq, retx } = f.send_new(now) {
-                let interval = f.cfg.pace_interval();
-                let more = f.next_seq < f.cfg.total_packets;
-                self.transmit(ctx, flow, seq, retx);
-                self.arm_rto(ctx, flow);
-                if more {
-                    ctx.schedule_timer(interval, token(KIND_PACE, flow));
-                    self.pacing.insert(flow, true);
-                } else {
-                    self.pacing.insert(flow, false);
-                }
-            }
-        } else if self.flows[&flow].next_seq < self.flows[&flow].cfg.total_packets {
-            // Window-limited: pacing resumes from the ACK path.
-            self.pacing.insert(flow, false);
-        } else {
-            self.pacing.insert(flow, false);
+        let FlowAction::Send { seq, retx } = a.flow.send_new(ctx.now()) else {
+            return;
+        };
+        let f = &a.flow;
+        let interval = f.cfg.pace_interval();
+        let more = f.next_seq < f.cfg.total_packets;
+        let (dst, size, deadline) = (a.dst, f.cfg.pkt_size, f.rto_deadline);
+        a.pacing = more;
+        self.transmit(ctx, id, dst, size, seq, retx);
+        arm_rto(ctx, id, deadline);
+        if more {
+            ctx.schedule_timer(interval, token(KIND_PACE, id));
         }
     }
 
     /// Number of flows that have been started.
     pub fn started_flows(&self) -> usize {
-        self.flows.len()
+        self.active.iter().flatten().count()
     }
 
-    /// Iterate over flow states (post-run inspection).
-    pub fn flows(&self) -> impl Iterator<Item = (&FlowId, &TcpFlow)> {
-        self.flows.iter()
+    /// Iterate over started flows in ascending id order (post-run
+    /// inspection).
+    pub fn flows(&self) -> impl Iterator<Item = (FlowId, &TcpFlow)> {
+        self.active
+            .iter()
+            .enumerate()
+            .filter_map(|(id, a)| Some((id as FlowId, &a.as_ref()?.flow)))
     }
 }
 
 impl Node for SenderHost {
     fn on_start(&mut self, ctx: &mut Kernel) {
+        self.active.resize_with(self.scheduled.len(), || None);
         for (i, s) in self.scheduled.iter().enumerate() {
             let delay = s.start.saturating_since(ctx.now());
             ctx.schedule_timer(delay, token(KIND_START, i as u64));
@@ -179,13 +195,16 @@ impl Node for SenderHost {
             PacketKind::TcpAck { flow, ack } => (*flow, *ack),
             _ => return, // hosts ignore anything that is not an ACK
         };
-        let Some(f) = self.flows.get_mut(&flow) else {
+        let Some(a) = self.active_mut(flow) else {
             return;
         };
+        let f = &mut a.flow;
         let was_done = f.done();
         let cwnd_before = f.cwnd;
         let action = f.on_ack(ack, ctx.now());
         let cwnd_after = f.cwnd;
+        let (done, can_send, deadline) = (f.done(), f.can_send_new(), f.rto_deadline);
+        let (dst, size, pacing) = (a.dst, f.cfg.pkt_size, a.pacing);
         if let FlowAction::Send { seq, retx } = action {
             if retx {
                 ctx.metrics(|r| r.inc("fancy_tcp_fast_retx_total", Labels::new()));
@@ -203,21 +222,17 @@ impl Node for SenderHost {
                     });
                 }
             }
-            self.transmit(ctx, flow, seq, retx);
+            self.transmit(ctx, flow, dst, size, seq, retx);
         }
-        let (done, can_send) = {
-            let f = &self.flows[&flow];
-            (f.done(), f.can_send_new())
-        };
         if done {
             if !was_done {
                 self.stats.completed_flows += 1;
             }
             return;
         }
-        self.arm_rto(ctx, flow);
+        arm_rto(ctx, flow, deadline);
         // Window opened: resume pacing if it went idle.
-        if can_send && !self.pacing.get(&flow).copied().unwrap_or(false) {
+        if can_send && !pacing {
             self.pace(ctx, flow);
         }
     }
@@ -226,19 +241,24 @@ impl Node for SenderHost {
         let (kind, flow) = split_token(t);
         match kind {
             KIND_START => {
-                let s = self.scheduled[flow as usize].clone();
-                self.flows.insert(flow, TcpFlow::new(s.cfg));
-                self.dsts.insert(flow, s.dst);
+                let s = &self.scheduled[flow as usize];
+                self.active[flow as usize] = Some(ActiveFlow {
+                    flow: TcpFlow::new(s.cfg),
+                    dst: s.dst,
+                    pacing: false,
+                });
                 self.pace(ctx, flow);
             }
             KIND_PACE => self.pace(ctx, flow),
             KIND_RTO => {
-                let Some(f) = self.flows.get_mut(&flow) else {
+                let Some(a) = self.active_mut(flow) else {
                     return;
                 };
+                let f = &mut a.flow;
                 let cwnd_before = f.cwnd;
                 let action = f.on_rto(ctx.now());
                 let (cwnd_after, rto_ns) = (f.cwnd, f.rto.as_nanos());
+                let (dst, size, deadline) = (a.dst, f.cfg.pkt_size, f.rto_deadline);
                 if let FlowAction::Send { seq, retx } = action {
                     ctx.metrics(|r| r.inc("fancy_tcp_rto_total", Labels::new()));
                     if ctx.trace_enabled() {
@@ -261,8 +281,8 @@ impl Node for SenderHost {
                             });
                         }
                     }
-                    self.transmit(ctx, flow, seq, retx);
-                    self.arm_rto(ctx, flow);
+                    self.transmit(ctx, flow, dst, size, seq, retx);
+                    arm_rto(ctx, flow, deadline);
                 }
             }
             _ => {}
@@ -345,11 +365,9 @@ impl ThroughputProbe {
 pub struct ReceiverHost {
     /// Keyed by `(source address, flow id)`: flow ids are only unique per
     /// sender, and a receiver can serve many senders at once.
-    recv: HashMap<(u32, FlowId), RecvFlow>,
-    /// Bytes received per entry.
-    pub entry_bytes: HashMap<Prefix, u64>,
-    /// Packets received per entry.
-    pub entry_packets: HashMap<Prefix, u64>,
+    recv: FastMap<(u32, FlowId), RecvFlow>,
+    /// `(bytes, packets)` received per entry.
+    entries: FastMap<Prefix, (u64, u64)>,
     /// Optional throughput probes.
     pub probes: Vec<ThroughputProbe>,
     /// Total data packets received.
@@ -368,9 +386,20 @@ impl ReceiverHost {
         self
     }
 
+    /// Bytes received for `entry`.
+    pub fn entry_bytes(&self, entry: Prefix) -> u64 {
+        self.entries.get(&entry).map_or(0, |&(bytes, _)| bytes)
+    }
+
+    /// Data packets received for `entry`.
+    pub fn entry_packets(&self, entry: Prefix) -> u64 {
+        self.entries.get(&entry).map_or(0, |&(_, packets)| packets)
+    }
+
     fn note(&mut self, now: SimTime, entry: Prefix, bytes: u64) {
-        *self.entry_bytes.entry(entry).or_insert(0) += bytes;
-        *self.entry_packets.entry(entry).or_insert(0) += 1;
+        let e = self.entries.entry(entry).or_insert((0, 0));
+        e.0 += bytes;
+        e.1 += 1;
         self.data_packets += 1;
         for p in &mut self.probes {
             p.observe(now, entry, bytes);
@@ -380,39 +409,37 @@ impl ReceiverHost {
 
 impl Node for ReceiverHost {
     fn on_packet(&mut self, ctx: &mut Kernel, port: PortId, pkt: PacketRef) {
-        let (entry, size, src, dst, kind) = {
-            let p = ctx.pkt(pkt);
-            (p.entry(), u64::from(p.size), p.src, p.dst, p.kind.clone())
+        let p = ctx.pkt(pkt);
+        let (entry, size, src, dst) = (p.entry(), u64::from(p.size), p.src, p.dst);
+        let data = match p.kind {
+            PacketKind::TcpData { flow, seq, .. } => Some((flow, seq)),
+            PacketKind::Udp { .. } => None,
+            _ => return,
         };
-        match kind {
-            PacketKind::TcpData { flow, seq, .. } => {
-                self.note(ctx.now(), entry, size);
-                let st = self.recv.entry((src, flow)).or_default();
-                if seq == st.rcv_next {
-                    st.rcv_next += 1;
-                    while st.out_of_order.remove(&st.rcv_next) {
-                        st.rcv_next += 1;
-                    }
-                } else if seq > st.rcv_next {
-                    st.out_of_order.insert(seq);
-                }
-                let ack = PacketBuilder::new(
-                    dst,
-                    src,
-                    ACK_SIZE,
-                    PacketKind::TcpAck {
-                        flow,
-                        ack: st.rcv_next,
-                    },
-                )
-                .build();
-                ctx.send(port, ack);
+        self.note(ctx.now(), entry, size);
+        let Some((flow, seq)) = data else {
+            return;
+        };
+        let st = self.recv.entry((src, flow)).or_default();
+        if seq == st.rcv_next {
+            st.rcv_next += 1;
+            while st.out_of_order.remove(&st.rcv_next) {
+                st.rcv_next += 1;
             }
-            PacketKind::Udp { .. } => {
-                self.note(ctx.now(), entry, size);
-            }
-            _ => {}
+        } else if seq > st.rcv_next {
+            st.out_of_order.insert(seq);
         }
+        let ack = PacketBuilder::new(
+            dst,
+            src,
+            ACK_SIZE,
+            PacketKind::TcpAck {
+                flow,
+                ack: st.rcv_next,
+            },
+        )
+        .build();
+        ctx.send(port, ack);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -542,7 +569,7 @@ mod tests {
         assert_eq!(tx.stats.completed_flows, 1);
         assert_eq!(tx.stats.retransmissions, 0);
         let rx: &ReceiverHost = net.node(b);
-        assert_eq!(rx.entry_packets[&Prefix::from_addr(0x0A000005)], 50);
+        assert_eq!(rx.entry_packets(Prefix::from_addr(0x0A000005)), 50);
     }
 
     #[test]
@@ -601,6 +628,53 @@ mod tests {
         net.run_until(SimTime::ZERO + SimDuration::from_millis(100));
         let sent = net.node::<SenderHost>(a).stats.data_packets;
         assert!((80..=110).contains(&sent), "sent = {sent}");
+    }
+
+    #[test]
+    fn acks_and_rtos_for_unknown_flow_ids_are_ignored() {
+        // Flow 0 starts at 1 s: before that it is scheduled but never
+        // started; ids 1 and up are out of range.
+        let flows = vec![ScheduledFlow {
+            start: SimTime(1_000_000_000),
+            dst: 0x0A000005,
+            cfg: flow_cfg(10_000_000, 50),
+        }];
+        let (mut net, a, _b) = setup(flows, None);
+        for (i, id) in [0, 1, 7, u64::MAX >> 2].into_iter().enumerate() {
+            let at = SimTime(1_000_000 * (i as u64 + 1));
+            let ack = PacketBuilder::new(
+                0x0A000005,
+                0x01000001,
+                ACK_SIZE,
+                PacketKind::TcpAck { flow: id, ack: 3 },
+            )
+            .build();
+            net.kernel.inject(a, 0, ack, at);
+            net.kernel.schedule_timer_for(a, at, token(KIND_RTO, id));
+        }
+        net.run_until(SimTime(500_000_000));
+        let tx: &SenderHost = net.node(a);
+        assert_eq!(tx.stats.data_packets, 0);
+        assert_eq!(tx.started_flows(), 0);
+        assert_eq!(tx.flows().count(), 0);
+    }
+
+    #[test]
+    fn flows_iterate_in_id_order_and_count_only_started_ones() {
+        // Flow i starts at (5 - i) × 100 ms: ids start in descending order.
+        let flows = (0..5u64)
+            .map(|i| ScheduledFlow {
+                start: SimTime((5 - i) * 100_000_000),
+                dst: 0x0A000005,
+                cfg: flow_cfg(10_000_000, 50),
+            })
+            .collect();
+        let (mut net, a, _b) = setup(flows, None);
+        net.run_until(SimTime(250_000_000));
+        let tx: &SenderHost = net.node(a);
+        assert_eq!(tx.started_flows(), 2);
+        let ids: Vec<FlowId> = tx.flows().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![3, 4]);
     }
 
     #[test]

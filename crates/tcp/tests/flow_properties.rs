@@ -117,7 +117,7 @@ proptest! {
             }
         }
         let receiver: &ReceiverHost = net.node(rx);
-        let got = receiver.entry_packets.get(&entry).copied().unwrap_or(0);
+        let got = receiver.entry_packets(entry);
         let sent = sender.stats.data_packets;
         let gray = net.kernel.records.total_gray_drops();
         // ACK-direction losses can also eat ACKs, but data conservation

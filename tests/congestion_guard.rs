@@ -6,10 +6,46 @@
 //! watched links and discards measurements taken while any watched queue
 //! ran long.
 
-use fancy::core::{CongestionGuard, FancyInput, FancySwitch, TimerConfig, TreeParams};
+use fancy::core::{CongestionGuard, FancyInput, FancyLayout, FancySwitch, TimerConfig, TreeParams};
 use fancy::prelude::*;
 use fancy::sim::{LinkConfig, Network, SimDuration};
 use fancy::tcp::{ReceiverHost, SenderHost};
+
+const VICTIM: Prefix = Prefix(0x0A_77_01);
+const HOST_ADDR: u32 = 0x01_00_00_01;
+const F1_ADDR: u32 = 0x0C_00_01_01;
+const F2_ADDR: u32 = 0x0C_00_02_01;
+
+/// `n` flows toward the victim, one every 100 ms, each at `bps`.
+fn victim_flows(n: u64, bps: u64) -> Vec<ScheduledFlow> {
+    (0..n)
+        .map(|i| ScheduledFlow {
+            start: SimTime(i * 100_000_000),
+            dst: VICTIM.host(1),
+            cfg: FlowConfig::for_rate(bps, 1.0),
+        })
+        .collect()
+}
+
+fn layout() -> FancyLayout {
+    FancyInput {
+        high_priority: vec![VICTIM],
+        memory_bytes_per_port: 1 << 20,
+        tree: TreeParams::paper_default(),
+        timers: TimerConfig::paper_default().for_link_delay(SimDuration::from_millis(10)),
+    }
+    .translate()
+    .unwrap()
+}
+
+/// Host and F1 behind port 0, everything else out of port 1.
+fn fib() -> Fib {
+    let mut fib = Fib::new();
+    fib.route(Prefix::from_addr(HOST_ADDR), 0);
+    fib.route(Prefix::from_addr(F1_ADDR), 0);
+    fib.default_route(1);
+    fib
+}
 
 /// host — F1 — legacy (bottleneck) — F2 — receiver. Optionally injects a
 /// genuine gray failure (drop fraction) on the F1→legacy hop at t = 2 s.
@@ -20,40 +56,16 @@ fn remote_pair(
     gray: Option<f64>,
     seed: u64,
 ) -> (Network, usize) {
-    let victim = Prefix(0x0A_77_01);
-    let flows: Vec<ScheduledFlow> = (0..40u64)
-        .map(|i| ScheduledFlow {
-            start: SimTime(i * 100_000_000),
-            dst: victim.host(1),
-            cfg: FlowConfig::for_rate(offered_bps / 20, 1.0),
-        })
-        .collect();
-    let layout = FancyInput {
-        high_priority: vec![victim],
-        memory_bytes_per_port: 1 << 20,
-        tree: TreeParams::paper_default(),
-        timers: TimerConfig::paper_default().for_link_delay(SimDuration::from_millis(10)),
-    }
-    .translate()
-    .unwrap();
-
-    const F1_ADDR: u32 = 0x0C_00_01_01;
-    const F2_ADDR: u32 = 0x0C_00_02_01;
+    let flows = victim_flows(40, offered_bps / 20);
+    let layout = layout();
     let mut net = Network::new(seed);
-    let host = net.add_node(Box::new(SenderHost::new(0x01_00_00_01, flows)));
-    let mk_fib = || {
-        let mut fib = Fib::new();
-        fib.route(Prefix::from_addr(0x01_00_00_01), 0);
-        fib.route(Prefix::from_addr(F1_ADDR), 0);
-        fib.default_route(1);
-        fib
-    };
-    let mut f1_node = FancySwitch::new(mk_fib(), layout.clone(), vec![1], 1);
+    let host = net.add_node(Box::new(SenderHost::new(HOST_ADDR, flows)));
+    let mut f1_node = FancySwitch::new(fib(), layout.clone(), vec![1], 1);
     f1_node.addr = F1_ADDR;
     f1_node.control_dst.insert(1, F2_ADDR);
     let f1 = net.add_node(Box::new(f1_node));
-    let legacy = net.add_node(Box::new(PlainSwitch::new(mk_fib())));
-    let mut f2_node = FancySwitch::new(mk_fib(), layout, Vec::new(), 2);
+    let legacy = net.add_node(Box::new(PlainSwitch::new(fib())));
+    let mut f2_node = FancySwitch::new(fib(), layout, Vec::new(), 2);
     f2_node.addr = F2_ADDR;
     let f2 = net.add_node(Box::new(f2_node));
     let rx = net.add_node(Box::new(ReceiverHost::new()));
@@ -71,7 +83,7 @@ fn remote_pair(
         net.kernel.add_failure(
             l_f1,
             f1,
-            GrayFailure::single_entry(victim, p, SimTime(2_000_000_000)),
+            GrayFailure::single_entry(VICTIM, p, SimTime(2_000_000_000)),
         );
     }
 
@@ -144,7 +156,6 @@ fn guard_discards_congestion_tainted_measurements() {
 fn guard_does_not_block_detection_of_a_real_gray_failure() {
     // Light offered load (no congestion) + a genuine 30% gray failure:
     // the guard stays out of the way and the failure is still localized.
-    let victim = Prefix(0x0A_77_01);
     let (net, f1) = remote_pair(true, 5_000_000, Some(0.3), 10);
     let sw: &FancySwitch = net.node(f1);
     assert_eq!(
@@ -154,7 +165,7 @@ fn guard_does_not_block_detection_of_a_real_gray_failure() {
     let det = net
         .kernel
         .records
-        .first_entry_detection(victim)
+        .first_entry_detection(VICTIM)
         .expect("real gray failure must still be detected with the guard on");
     assert!(det.time >= SimTime(2_000_000_000));
 }
@@ -165,4 +176,73 @@ fn guarded_clean_run_is_silent() {
     let sw: &FancySwitch = net.node(f1);
     assert_eq!(sw.stats.discarded_sessions, 0);
     assert!(net.kernel.records.detections.is_empty());
+}
+
+/// host — F1 ═ legacy (bottleneck) — F2 — receiver, plus a second FANcY
+/// peer F3 on F1's port 2. F1 monitors ports 1 and 2, and both ports'
+/// guards watch the same congested bottleneck with the same window, so
+/// their polls tie at every instant and the first to poll takes (and
+/// resets) the link's backlog mark. Returns the per-port discarded
+/// sessions and the run's trace as JSONL.
+fn shared_watch_run() -> ((u64, u64), String) {
+    let layout = layout();
+    let mut net = Network::new(9);
+    let recorder = SharedRecorder::new(1 << 20);
+    net.kernel.set_tracer(Box::new(recorder.clone()));
+    let host = net.add_node(Box::new(SenderHost::new(
+        HOST_ADDR,
+        victim_flows(20, 6_000_000),
+    )));
+    let mut f1_node = FancySwitch::new(fib(), layout.clone(), vec![1, 2], 1);
+    f1_node.addr = F1_ADDR;
+    f1_node.control_dst.insert(1, F2_ADDR);
+    let f1 = net.add_node(Box::new(f1_node));
+    let legacy = net.add_node(Box::new(PlainSwitch::new(fib())));
+    let mut f2_node = FancySwitch::new(fib(), layout.clone(), Vec::new(), 2);
+    f2_node.addr = F2_ADDR;
+    let f2 = net.add_node(Box::new(f2_node));
+    let rx = net.add_node(Box::new(ReceiverHost::new()));
+    let f3 = net.add_node(Box::new(FancySwitch::new(fib(), layout, Vec::new(), 3)));
+
+    let edge = LinkConfig::new(1_000_000_000, SimDuration::from_micros(10));
+    let hop = LinkConfig::new(1_000_000_000, SimDuration::from_millis(5));
+    let bottleneck =
+        LinkConfig::new(20_000_000, SimDuration::from_millis(5)).with_tm_capacity(15_000);
+    net.connect(host, f1, edge);
+    net.connect(f1, legacy, hop);
+    let bn = net.connect(legacy, f2, bottleneck);
+    net.connect(f2, rx, edge);
+    net.connect(f1, f3, hop); // F1 port 2
+
+    let sw: &mut FancySwitch = net.node_mut(f1);
+    for port in [2, 1] {
+        sw.guards.insert(
+            port,
+            CongestionGuard {
+                threshold_bytes: 8_000,
+                window: SimDuration::from_millis(25),
+                watched: vec![(bn, legacy)],
+            },
+        );
+    }
+    net.run_until(SimTime(3_000_000_000));
+    assert!(net.kernel.records.congestion_drops > 50, "must congest");
+    assert_eq!(recorder.dropped(), 0, "ring sized for the whole trace");
+    let sw: &FancySwitch = net.node(f1);
+    let discarded = (sw.discarded_sessions(1), sw.discarded_sessions(2));
+    (discarded, recorder.to_jsonl())
+}
+
+#[test]
+fn guards_sharing_a_watched_link_poll_in_a_fixed_order() {
+    let (discarded, trace) = shared_watch_run();
+    assert!(
+        discarded.0 + discarded.1 > 0,
+        "the shared link must taint some sessions: {discarded:?}"
+    );
+    for run in 1..8 {
+        let (d, t) = shared_watch_run();
+        assert_eq!(d, discarded, "run {run}: per-port discards differ");
+        assert!(t == trace, "run {run}: trace bytes differ");
+    }
 }
